@@ -3,8 +3,9 @@
 //
 // A client reads a 32 MB file piece by piece in three orders —
 // sequential, constant-stride, and shuffled — with read-ahead off and
-// on.  The server's PatternTracker only arms prefetching after min_run
-// same-stride accesses per (client, file) stream, so:
+// on.  The server's PatternTracker only arms prefetching after
+// pfs::IoNode::kReadAheadMinRun same-stride accesses per (client, file)
+// stream, so:
 //   * sequential and strided runs detect quickly and prefetching
 //     overlaps disk reads with the request/response path (faster, high
 //     prefetch-hit rate, bounded waste),
@@ -22,6 +23,7 @@
 #include "hw/machine.hpp"
 #include "iosrv/config.hpp"
 #include "pfs/fs.hpp"
+#include "pfs/ionode.hpp"
 #include "scenario/scenario.hpp"
 #include "simkit/engine.hpp"
 
@@ -141,8 +143,8 @@ void run(scenario::Context& ctx) {
   ctx.printf(
       "Server read-ahead: hit/waste tradeoff by access pattern "
       "(min_run=%d, degree=%u, budget=%u)\n%s\n",
-      iosrv::ReadAheadConfig{}.min_run, iosrv::ReadAheadConfig{}.degree,
-      iosrv::ReadAheadConfig{}.max_inflight,
+      pfs::IoNode::kReadAheadMinRun, pfs::IoNode::kReadAheadDegree,
+      pfs::IoNode::kReadAheadBudget,
       (opt.csv ? table.csv() : table.str()).c_str());
 
   ctx.finish_metrics();

@@ -17,8 +17,8 @@
 // checkpoint-interval analysis does: time writing checkpoints (grows as
 // the interval shrinks), lost work re-executed after rollbacks (grows as
 // the interval stretches), and time-to-recovery (outage wait + restart
-// read).  bench_fault_ckpt sweeps the interval against the fault rate to
-// reproduce the interior-minimum tradeoff curve.
+// read).  The fault_ckpt scenario sweeps the interval against the fault
+// rate to reproduce the interior-minimum tradeoff curve.
 #pragma once
 
 #include <cstdint>
@@ -236,8 +236,8 @@ double young_interval(double ckpt_cost_s, double mtbf_s);
 /// Daly's [2006] higher-order refinement of Young's formula:
 ///   t = sqrt(2*C*M) * [1 + (1/3)*sqrt(C/(2M)) + (1/9)*(C/(2M))] - C
 /// for C < 2M, and t = M once checkpointing costs more than it saves.
-/// bench_fault_ckpt --check asserts the swept interior minimum lands near
-/// this analytical optimum.
+/// `iosim run fault_ckpt --check` asserts the swept interior minimum
+/// lands near this analytical optimum.
 double young_daly_interval(double ckpt_cost_s, double mtbf_s);
 
 }  // namespace ckpt

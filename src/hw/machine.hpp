@@ -33,7 +33,7 @@ struct ConfigError : std::invalid_argument {
 
 /// Calibration knobs for the parallel-file-system I/O path.  These are the
 /// "architectural and software" constants the paper's effects hinge on;
-/// pfs:: consumes them, bench_ablation_overhead sweeps them.
+/// pfs:: consumes them, the ablation_overhead scenario sweeps them.
 struct IoSubsysParams {
   std::uint64_t stripe_unit_bytes = 64 * 1024;  // PFS default 64 KB
   std::uint32_t disks_per_io_node = 1;

@@ -6,7 +6,7 @@
 // receiver NIC for bytes/bandwidth.  For the I/O studies reproduced here
 // the bottleneck is the handful of I/O-node endpoints, which this model
 // captures; per-link wormhole contention is intentionally out of scope
-// (see DESIGN.md §5.2 and bench_ablation_network).
+// (see DESIGN.md §5.2 and the ablation_network scenario).
 #pragma once
 
 #include <cassert>

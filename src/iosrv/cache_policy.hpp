@@ -123,7 +123,7 @@ class CachePolicy {
 };
 
 /// Classic LRU with dirty pinning — the historical pfs::BlockCache
-/// behind the CachePolicy interface (pfs::BlockCache is now an alias).
+/// behind the CachePolicy interface.
 class LruPolicy final : public CachePolicy {
  public:
   explicit LruPolicy(std::size_t capacity_blocks)

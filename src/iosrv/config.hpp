@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 namespace iosrv {
@@ -28,25 +27,13 @@ constexpr std::string_view to_string(PolicyKind p) {
   return p == PolicyKind::kLru ? "lru" : "arc";
 }
 
-constexpr std::optional<PolicyKind> parse_policy(std::string_view s) {
-  if (s == "lru") return PolicyKind::kLru;
-  if (s == "arc") return PolicyKind::kArc;
-  return std::nullopt;
-}
-
 /// Pattern-driven server-side read-ahead.  The server watches each
 /// (client, file) request stream for sequential or constant-stride block
 /// runs and prefetches ahead of the detected run, bounded by an
-/// in-flight budget so speculation never floods the disk queue.
+/// in-flight budget so speculation never floods the disk queue (the run
+/// length, depth and budget are pfs::IoNode constants).
 struct ReadAheadConfig {
   bool enabled = false;
-  /// Run length (consecutive constant-stride accesses) that arms
-  /// prefetching for a stream.
-  int min_run = 3;
-  /// Blocks prefetched ahead of the run per triggering access.
-  std::uint32_t degree = 2;
-  /// Maximum prefetch reads in flight per I/O node (the budget).
-  std::uint32_t max_inflight = 4;
 };
 
 enum class WritebackMode : std::uint8_t {
@@ -56,7 +43,7 @@ enum class WritebackMode : std::uint8_t {
   /// Bounded dirty-buffer pool: writes complete into the pool; a
   /// background drainer writes blocks out once the pool crosses the
   /// high watermark, draining down to the low watermark, at most
-  /// `drain_width` disk writes at a time.
+  /// WritebackPool::kDrainWidth disk writes at a time.
   kPool,
 };
 
@@ -96,15 +83,6 @@ constexpr std::string_view to_string(DurabilityPolicy p) {
   }
 }
 
-constexpr std::optional<DurabilityPolicy> parse_durability(
-    std::string_view s) {
-  if (s == "write_behind") return DurabilityPolicy::kWriteBehind;
-  if (s == "write_through") return DurabilityPolicy::kWriteThrough;
-  if (s == "ordered_drain") return DurabilityPolicy::kOrderedDrain;
-  if (s == "journaled") return DurabilityPolicy::kJournaled;
-  return std::nullopt;
-}
-
 struct DurabilityConfig {
   DurabilityPolicy policy = DurabilityPolicy::kWriteBehind;
   /// Master switch for crash semantics on the server: when false (the
@@ -114,9 +92,6 @@ struct DurabilityConfig {
   /// the writeback pool (acked-but-unflushed blocks become lost
   /// updates), and cancels in-flight drains and read-ahead.
   bool crash_semantics = false;
-  /// Redo-log capacity in blocks for kJournaled; bounds the dirty pool
-  /// (a write cannot ack until its journal slot is appended).
-  std::uint32_t journal_blocks = 256;
 };
 
 struct WritebackConfig {
@@ -127,9 +102,6 @@ struct WritebackConfig {
   double high_watermark = 0.75;
   /// Fraction the drainer stops at (forced drains go to zero).
   double low_watermark = 0.25;
-  /// Concurrent drain writes per node — the throttle that keeps a
-  /// checkpoint burst from starving demand reads at the disk queue.
-  std::uint32_t drain_width = 2;
 };
 
 /// The whole smart-server knob set, embedded in hw::IoSubsysParams.
@@ -138,14 +110,6 @@ struct Config {
   ReadAheadConfig readahead;
   WritebackConfig writeback;
   DurabilityConfig durability;
-
-  /// True iff every knob still selects the legacy IoNode behaviour.
-  constexpr bool is_legacy() const {
-    return policy == PolicyKind::kLru && !readahead.enabled &&
-           writeback.mode == WritebackMode::kLegacy &&
-           durability.policy == DurabilityPolicy::kWriteBehind &&
-           !durability.crash_semantics;
-  }
 };
 
 }  // namespace iosrv

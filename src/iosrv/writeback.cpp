@@ -21,7 +21,6 @@ WritebackPool::WritebackPool(simkit::Engine& eng, const WritebackConfig& cfg,
   low_ = std::min<std::size_t>(
       static_cast<std::size_t>(std::floor(lw * static_cast<double>(cap_))),
       high_ - 1);
-  drain_width_ = std::max<std::uint32_t>(cfg.drain_width, 1);
 }
 
 simkit::Task<void> WritebackPool::submit(DirtyBlock b) {
@@ -58,8 +57,7 @@ void WritebackPool::ensure_drainer() {
 simkit::Task<void> WritebackPool::drain_loop() {
   ++wakes_;
   while (want_drain()) {
-    const std::size_t width =
-        std::min<std::size_t>(drain_width_, queue_.size());
+    const std::size_t width = std::min(kDrainWidth, queue_.size());
     std::vector<simkit::ProcHandle> workers;
     workers.reserve(width);
     for (std::size_t i = 0; i < width; ++i) {
@@ -145,7 +143,7 @@ simkit::Task<void> WritebackPool::drain_file(std::uint64_t file) {
   auto pending = file_dirty_.find(file);
   if (pending != file_dirty_.end()) {
     const std::size_t width = std::min<std::size_t>(
-        drain_width_, static_cast<std::size_t>(pending->second));
+        kDrainWidth, static_cast<std::size_t>(pending->second));
     std::vector<simkit::ProcHandle> workers;
     workers.reserve(width);
     for (std::size_t i = 0; i < width; ++i) {

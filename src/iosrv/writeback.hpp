@@ -11,7 +11,7 @@
 //     stall the server accounts for),
 //   * a background drainer starts once the pool crosses the high
 //     watermark and drains oldest-first down to the low watermark,
-//     keeping at most `drain_width` disk writes in flight — the
+//     keeping at most kDrainWidth disk writes in flight — the
 //     throttle that leaves disk-queue room for demand reads,
 //   * drain_file() forces one file's blocks out (close/flush
 //     semantics) and completes only when that file has no dirty blocks
@@ -115,6 +115,10 @@ class WritebackPool {
   }
 
  private:
+  /// Concurrent drain writes per node — the throttle that keeps a
+  /// checkpoint burst from starving demand reads at the disk queue.
+  static constexpr std::size_t kDrainWidth = 2;
+
   simkit::Task<void> drain_loop();
   simkit::Task<void> drain_worker();
   /// One forced-drain worker: writes out `file`'s queued blocks only.
@@ -144,7 +148,6 @@ class WritebackPool {
   std::size_t cap_;
   std::size_t high_;
   std::size_t low_;
-  std::uint32_t drain_width_;
 
   /// Extent of a buffered block, kept per key so invalidation can price
   /// the loss (and reconstruct DirtyBlocks for journal replay) even for

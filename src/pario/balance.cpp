@@ -9,17 +9,22 @@
 
 namespace pario {
 
-std::vector<BalanceMove> plan_balance(const std::vector<std::uint64_t>& sizes,
-                                      const BalanceOptions& opts) {
+namespace {
+// SCF 3.0's tolerance: 10% of the mean or 1 MB, whichever is larger.
+constexpr double kToleranceFraction = 0.10;
+constexpr std::uint64_t kToleranceBytes = 1ULL << 20;
+}  // namespace
+
+std::vector<BalanceMove> plan_balance(const std::vector<std::uint64_t>& sizes) {
   const int p = static_cast<int>(sizes.size());
   if (p <= 1) return {};
   const std::uint64_t total =
       std::accumulate(sizes.begin(), sizes.end(), std::uint64_t{0});
   const std::uint64_t mean = total / static_cast<std::uint64_t>(p);
   const std::uint64_t tol = std::max<std::uint64_t>(
-      static_cast<std::uint64_t>(opts.tolerance_fraction *
+      static_cast<std::uint64_t>(kToleranceFraction *
                                  static_cast<double>(mean)),
-      opts.tolerance_bytes);
+      kToleranceBytes);
 
   // Signed imbalance per rank.
   std::vector<std::int64_t> delta(sizes.size());
@@ -53,8 +58,7 @@ std::vector<BalanceMove> plan_balance(const std::vector<std::uint64_t>& sizes,
 }
 
 simkit::Task<std::vector<std::uint64_t>> balance_files(
-    mprt::Comm& comm, pfs::StripedFs& fs, pfs::FileId my_file,
-    const BalanceOptions& opts) {
+    mprt::Comm& comm, pfs::StripedFs& fs, pfs::FileId my_file) {
   const int p = comm.size();
   const int r = comm.rank();
 
@@ -70,7 +74,7 @@ simkit::Task<std::vector<std::uint64_t>> balance_files(
       std::memcpy(&sizes[static_cast<std::size_t>(i)],
                   size_msgs[static_cast<std::size_t>(i)].payload.data(), 8);
     }
-    moves = plan_balance(sizes, opts);
+    moves = plan_balance(sizes);
   }
   // Serialize sizes + moves: [P sizes][n_moves][(from,to,bytes)...].
   std::vector<std::byte> plan;

@@ -20,11 +20,6 @@
 
 namespace pario {
 
-struct BalanceOptions {
-  double tolerance_fraction = 0.10;           // 10% of the mean
-  std::uint64_t tolerance_bytes = 1ULL << 20;  // or 1 MB, whichever larger
-};
-
 struct BalanceMove {
   int from = 0;
   int to = 0;
@@ -33,16 +28,13 @@ struct BalanceMove {
 };
 
 /// Pure planning: compute the moves that bring `sizes` within
-/// max(tolerance_fraction * mean, tolerance_bytes) of the mean.
-/// Deterministic greedy matching of the largest donor with the neediest
-/// taker.
-std::vector<BalanceMove> plan_balance(const std::vector<std::uint64_t>& sizes,
-                                      const BalanceOptions& opts = {});
+/// max(10% of the mean, 1 MB) of the mean.  Deterministic greedy
+/// matching of the largest donor with the neediest taker.
+std::vector<BalanceMove> plan_balance(const std::vector<std::uint64_t>& sizes);
 
 /// Collective: balance the per-rank private files `my_file` (one per
 /// rank).  Returns every rank's post-balance file size.
 simkit::Task<std::vector<std::uint64_t>> balance_files(
-    mprt::Comm& comm, pfs::StripedFs& fs, pfs::FileId my_file,
-    const BalanceOptions& opts = {});
+    mprt::Comm& comm, pfs::StripedFs& fs, pfs::FileId my_file);
 
 }  // namespace pario

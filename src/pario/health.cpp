@@ -50,7 +50,6 @@ void HealthTracker::note_crash(std::size_t server, simkit::Time now) {
 void HealthTracker::note_recovery(std::size_t server, simkit::Time now) {
   if (server >= recovered_at_.size()) return;
   recovered_at_[server] = now;
-  ++recoveries_;
   if (metrics::Registry* r = metrics::current()) {
     r->counter("pario.health.recovery_signals").inc();
   }

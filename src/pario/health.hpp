@@ -61,7 +61,6 @@ class HealthTracker {
   /// this to avoid betting a speculative leg on a cold server.
   bool any_recovering(std::span<const std::uint32_t> servers,
                       simkit::Time now) const noexcept;
-  std::uint64_t recoveries_seen() const noexcept { return recoveries_; }
 
   // -- estimates ----------------------------------------------------------
   /// EWMA of observed latency; 0 until the first sample lands.
@@ -118,7 +117,6 @@ class HealthTracker {
   std::vector<double> lat_;        // EWMA latency, 0 = no samples yet
   std::vector<ErrorState> err_;
   std::vector<simkit::Time> recovered_at_;  // last reboot; -inf = never
-  std::uint64_t recoveries_ = 0;
   std::vector<Divergence> divergences_;
   std::uint64_t hedges_issued_ = 0;
   std::uint64_t hedge_wins_ = 0;

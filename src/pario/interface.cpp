@@ -97,15 +97,7 @@ simkit::Task<void> IoInterface::data_op(pfs::OpKind kind,
   for (int pass = 0; pass < p_.copy_passes; ++pass) {
     co_await fs_->machine().mem_copy(len);
   }
-  if (resilient_) {
-    if (kind == pfs::OpKind::kRead) {
-      co_await resilient_pread(*fs_, h_.client(), h_.file(), offset, len,
-                               out, retry_, retry_stats_);
-    } else {
-      co_await resilient_pwrite(*fs_, h_.client(), h_.file(), offset, len,
-                                in, retry_, retry_stats_);
-    }
-  } else if (kind == pfs::OpKind::kRead) {
+  if (kind == pfs::OpKind::kRead) {
     co_await fs_->pread(h_.client(), h_.file(), offset, len, out);
   } else {
     co_await fs_->pwrite(h_.client(), h_.file(), offset, len, in);

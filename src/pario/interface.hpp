@@ -16,7 +16,6 @@
 
 #include "hw/machine.hpp"
 #include "metrics/metrics.hpp"
-#include "pario/resilient.hpp"
 #include "pfs/fs.hpp"
 #include "pfs/types.hpp"
 #include "simkit/engine.hpp"
@@ -55,17 +54,6 @@ class IoInterface {
 
   const InterfaceParams& params() const noexcept { return p_; }
   pfs::FileHandle& handle() noexcept { return h_; }
-
-  /// Route this interface's data operations through the retry/backoff
-  /// policy (pario/resilient.hpp).  Off by default: without a policy the
-  /// interface calls the file system directly and any pfs::IoError
-  /// surfaces to the caller unretried.
-  void set_resilience(RetryPolicy policy, RetryStats* stats = nullptr) {
-    resilient_ = true;
-    retry_ = policy;
-    retry_stats_ = stats;
-  }
-  bool resilient() const noexcept { return resilient_; }
   std::uint64_t tell() const noexcept { return pos_; }
   hw::Machine& machine() noexcept { return fs_->machine(); }
   simkit::Engine& engine() noexcept { return fs_->machine().engine(); }
@@ -124,9 +112,6 @@ class IoInterface {
   pfs::IoObserver* observer_;
   Meters m_;
   std::uint64_t pos_ = 0;
-  bool resilient_ = false;
-  RetryPolicy retry_;
-  RetryStats* retry_stats_ = nullptr;
 };
 
 }  // namespace pario

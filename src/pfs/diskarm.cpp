@@ -1,7 +1,6 @@
 #include "pfs/diskarm.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace pfs {
 
@@ -39,52 +38,19 @@ simkit::Task<void> DiskArm::serve(std::uint64_t phys, std::uint64_t len,
 }
 
 std::size_t DiskArm::pick_next() const {
-  if (!scan_) {
-    // FIFO: oldest arrival.
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < queue_.size(); ++i) {
-      if (queue_[i].seq < queue_[best].seq) best = i;
-    }
-    return best;
-  }
-  // SCAN: nearest request at/above the head in the sweep direction;
-  // reverse at the edge.
+  // FIFO: the queue is in arrival order, so the oldest is at the front.
+  if (!scan_) return 0;
+  // SCAN: the nearest request at/above (sweeping up) or at/below
+  // (sweeping down) the head.  release() has already reversed the sweep
+  // if nothing lies ahead, so a match exists.  Strict comparisons keep
+  // the earliest arrival among requests at the same position.
   const std::uint64_t head = model_.head_position();
   std::size_t best = queue_.size();
-  if (sweep_up_) {
-    std::uint64_t best_pos = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      if (queue_[i].phys >= head && queue_[i].phys < best_pos) {
-        best_pos = queue_[i].phys;
-        best = i;
-      }
-    }
-    if (best != queue_.size()) return best;
-    // Edge: reverse — farthest-down request first (sweep back).
-    std::uint64_t max_pos = 0;
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      if (queue_[i].phys >= max_pos) {  // >=: pick something even at 0
-        max_pos = queue_[i].phys;
-        best = i;
-      }
-    }
-    return best;
-  }
-  std::uint64_t best_pos = 0;
-  bool found = false;
   for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (queue_[i].phys <= head &&
-        (!found || queue_[i].phys > best_pos)) {
-      best_pos = queue_[i].phys;
-      best = i;
-      found = true;
-    }
-  }
-  if (found) return best;
-  std::uint64_t min_pos = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (queue_[i].phys <= min_pos) {
-      min_pos = queue_[i].phys;
+    const std::uint64_t p = queue_[i].phys;
+    if (sweep_up_ ? p < head : p > head) continue;  // behind the sweep
+    if (best == queue_.size() ||
+        (sweep_up_ ? p < queue_[best].phys : p > queue_[best].phys)) {
       best = i;
     }
   }

@@ -4,8 +4,8 @@
 // default, and the conservative model used for the paper reproduction)
 // seeks wherever the next arrival points; SCAN sweeps the arm across the
 // platter serving requests in position order, the classic elevator
-// algorithm real file servers used.  bench_ablation_scan quantifies the
-// difference on the paper's scattered-access patterns.
+// algorithm real file servers used.  The ablation_scan scenario
+// quantifies the difference on the paper's scattered-access patterns.
 #pragma once
 
 #include <coroutine>
@@ -39,7 +39,6 @@ class DiskArm {
  private:
   struct Waiter {
     std::uint64_t phys;
-    std::uint64_t seq;
     std::coroutine_handle<> h;
   };
 
@@ -54,7 +53,7 @@ class DiskArm {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      arm.queue_.push_back(Waiter{phys, arm.next_seq_++, h});
+      arm.queue_.push_back(Waiter{phys, h});
     }
     void await_resume() const noexcept {}
   };
@@ -73,9 +72,8 @@ class DiskArm {
   metrics::Histogram* m_queue_wait_s_ = nullptr;
   bool busy_ = false;
   bool sweep_up_ = true;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t services_ = 0;
-  std::vector<Waiter> queue_;
+  std::vector<Waiter> queue_;  // arrival order (erase keeps it)
 };
 
 }  // namespace pfs

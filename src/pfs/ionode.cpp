@@ -8,6 +8,11 @@
 namespace pfs {
 
 namespace {
+/// Redo-log capacity in blocks under DurabilityPolicy::kJournaled; it
+/// bounds the dirty pool (a write cannot ack until its journal slot is
+/// appended).
+constexpr std::uint64_t kJournalBlocks = 256;
+
 constexpr std::uint64_t cache_blocks(const hw::IoSubsysParams& io) {
   const std::uint64_t blocks =
       io.cache_bytes_per_io_node / io.stripe_unit_bytes;
@@ -52,9 +57,8 @@ IoNode::IoNode(simkit::Engine& eng, hw::NodeId self, std::size_t index,
       // capacity caps the dirty pool.
       const std::uint64_t cap =
           wb.pool_blocks != 0 ? wb.pool_blocks : cache_blocks(io_);
-      wb.pool_blocks = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-          cap, std::max<std::uint32_t>(io_.server.durability.journal_blocks,
-                                       1)));
+      wb.pool_blocks =
+          static_cast<std::uint32_t>(std::min(cap, kJournalBlocks));
     }
     pool_ = std::make_unique<iosrv::WritebackPool>(
         eng_, wb, cache_blocks(io_),
@@ -181,7 +185,7 @@ simkit::Task<void> IoNode::process(hw::AccessKind kind, hw::NodeId client,
   co_await front_.use_for(simkit::milliseconds(io_.server_overhead_ms));
   check_faults();
 
-  const BlockKey key{file, local_offset / io_.stripe_unit_bytes};
+  const iosrv::BlockKey key{file, local_offset / io_.stripe_unit_bytes};
   const bool ra_on = io_.server.readahead.enabled;
 
   if (kind == hw::AccessKind::kRead) {
@@ -269,15 +273,14 @@ simkit::Task<void> IoNode::process(hw::AccessKind kind, hw::NodeId client,
 void IoNode::maybe_readahead(hw::NodeId client, FileId file,
                              std::uint64_t block) {
   const iosrv::RunInfo run = pattern_.note(client, file, block);
-  const iosrv::ReadAheadConfig& ra = io_.server.readahead;
-  if (run.stride == 0 || run.length < ra.min_run) return;
-  for (std::uint32_t i = 1; i <= ra.degree; ++i) {
-    if (ra_inflight_count_ >= ra.max_inflight) break;  // the budget
+  if (run.stride == 0 || run.length < kReadAheadMinRun) return;
+  for (std::uint32_t i = 1; i <= kReadAheadDegree; ++i) {
+    if (ra_inflight_count_ >= kReadAheadBudget) break;
     const std::int64_t next =
         static_cast<std::int64_t>(block) +
         run.stride * static_cast<std::int64_t>(i);
     if (next < 0) break;
-    const BlockKey k{file, static_cast<std::uint64_t>(next)};
+    const iosrv::BlockKey k{file, static_cast<std::uint64_t>(next)};
     if (cache_->contains(k) || ra_inflight_.count(k) != 0) continue;
     ra_inflight_.emplace(k, std::make_shared<simkit::Trigger>());
     ++ra_inflight_count_;
@@ -287,7 +290,7 @@ void IoNode::maybe_readahead(hw::NodeId client, FileId file,
   }
 }
 
-simkit::Task<void> IoNode::prefetch_block(FileId file, BlockKey key) {
+simkit::Task<void> IoNode::prefetch_block(FileId file, iosrv::BlockKey key) {
   const std::uint64_t local_offset = key.block * io_.stripe_unit_bytes;
   const std::uint64_t ep = crash_epoch_;
   co_await disk_for(file).serve(phys_of(file, local_offset),
@@ -318,7 +321,8 @@ simkit::Task<void> IoNode::prefetch_block(FileId file, BlockKey key) {
 }
 
 simkit::Task<void> IoNode::flush_block(FileId file, std::uint64_t local_offset,
-                                       std::uint64_t length, BlockKey key) {
+                                       std::uint64_t length,
+                                       iosrv::BlockKey key) {
   const std::uint64_t ep = crash_epoch_;
   co_await disk_for(file).serve(phys_of(file, local_offset), length,
                                 hw::AccessKind::kWrite);

@@ -16,9 +16,10 @@
 //
 // With read-ahead enabled (iosrv::ReadAheadConfig) the node watches each
 // (client, file) stream for constant-stride runs and prefetches ahead of
-// them under an in-flight budget — the ViPIOS-style "smart server" the
-// related-work papers argue for.  All iosrv features default off; the
-// default node is byte-identical to the pre-iosrv passive server.
+// them under an in-flight budget (the kReadAhead* constants) — the
+// ViPIOS-style "smart server" the related-work papers argue for.  All
+// iosrv features default off; the default node is byte-identical to the
+// pre-iosrv passive server.
 //
 // Crash semantics (iosrv::DurabilityConfig, default OFF): when enabled
 // and a fault::Injector crash hits this node, the volatile state dies
@@ -50,7 +51,6 @@
 #include "iosrv/pattern.hpp"
 #include "iosrv/writeback.hpp"
 #include "metrics/metrics.hpp"
-#include "pfs/cache.hpp"
 #include "pfs/diskarm.hpp"
 #include "pfs/types.hpp"
 #include "simkit/engine.hpp"
@@ -66,6 +66,15 @@ class IoNode {
   IoNode(simkit::Engine& eng, hw::NodeId self, std::size_t index,
          const hw::IoSubsysParams& io, const hw::DiskParams& disk,
          fault::Injector* injector = nullptr);
+
+  // -- read-ahead tuning (when io.server.readahead.enabled) ---------------
+  /// Run length (consecutive constant-stride accesses) that arms
+  /// prefetching for a stream.
+  static constexpr int kReadAheadMinRun = 3;
+  /// Blocks prefetched ahead of the run per triggering access.
+  static constexpr std::uint32_t kReadAheadDegree = 2;
+  /// Maximum prefetch reads in flight per I/O node (the budget).
+  static constexpr std::uint32_t kReadAheadBudget = 4;
 
   hw::NodeId node_id() const noexcept { return self_; }
   std::size_t index() const noexcept { return index_; }
@@ -147,11 +156,11 @@ class IoNode {
   std::uint64_t phys_of(FileId file, std::uint64_t local_offset);
 
   simkit::Task<void> flush_block(FileId file, std::uint64_t local_offset,
-                                 std::uint64_t length, BlockKey key);
+                                 std::uint64_t length, iosrv::BlockKey key);
 
   /// Feed the pattern tracker and launch prefetches along a detected run.
   void maybe_readahead(hw::NodeId client, FileId file, std::uint64_t block);
-  simkit::Task<void> prefetch_block(FileId file, BlockKey key);
+  simkit::Task<void> prefetch_block(FileId file, iosrv::BlockKey key);
 
   static constexpr std::uint64_t kSegmentBytes = 8ULL << 20;
 
@@ -193,9 +202,9 @@ class IoNode {
 
   // Prefetched-but-unreferenced residents (hit/waste accounting) and
   // prefetches still on the disk queue (late-hit joining).
-  std::unordered_set<BlockKey, BlockKeyHash> ra_unused_;
-  std::unordered_map<BlockKey, std::shared_ptr<simkit::Trigger>,
-                     BlockKeyHash>
+  std::unordered_set<iosrv::BlockKey, iosrv::BlockKeyHash> ra_unused_;
+  std::unordered_map<iosrv::BlockKey, std::shared_ptr<simkit::Trigger>,
+                     iosrv::BlockKeyHash>
       ra_inflight_;
   std::uint32_t ra_inflight_count_ = 0;
 

@@ -1,7 +1,6 @@
 #include "scenario/driver.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -18,26 +17,22 @@ void print_usage(const char* argv0) {
       "       %s run <name>... | --all  [flags]\n"
       "\n"
       "One driver for every paper table/figure/ablation scenario.\n"
-      "Run flags (also accepted by the bench_* alias binaries):\n"
+      "Run flags (numeric values must parse in full, else exit 2):\n"
       "  --full              paper-sized op counts\n"
-      "  --scale=X           explicit volume/dump scale factor\n"
+      "  --scale=X           volume/dump scale factor, finite and >= 0\n"
+      "                      (default: the scenario's own scale)\n"
       "  --check             exit non-zero if a paper shape fails\n"
       "  --csv               CSV tables instead of ASCII\n"
       "  --metrics           print the metrics registry table\n"
       "  --metrics-out=PATH  write metrics JSON (per scenario with --all)\n"
       "  --policy=NAME       checkpoint policy (fault_ckpt)\n"
-      "  --seed=N            fault-plan seed (stochastic-plan scenarios)\n"
-      "  -j N, --jobs=N      run grid points / scenarios on N threads\n"
+      "  --seed=N            fault-plan seed, unsigned 64-bit\n"
+      "                      (stochastic-plan scenarios)\n"
+      "  -j N, --jobs=N      run grid points / scenarios on N >= 1 threads\n"
       "                      (output is byte-identical to -j 1)\n"
-      "  --repeat=K          run K times, fail on any output drift\n"
+      "  --repeat=K          run K >= 1 times, fail on any output drift\n"
       "  --golden=PATH       fail unless output matches the pinned file\n",
       argv0, argv0);
-}
-
-int unknown_scenario(const std::string& name) {
-  std::fprintf(stderr, "iosim: unknown scenario '%s' (try 'iosim list')\n",
-               name.c_str());
-  return 2;
 }
 
 }  // namespace
@@ -82,7 +77,12 @@ int iosim_main(int argc, char** argv) {
       }
       if (args[i][0] == '-') continue;  // a flag, not a scenario name
       const Spec* s = Registry::global().find(args[i]);
-      if (s == nullptr) return unknown_scenario(args[i]);
+      if (s == nullptr) {
+        std::fprintf(stderr,
+                     "iosim: unknown scenario '%s' (try 'iosim list')\n",
+                     args[i].c_str());
+        return 2;
+      }
       specs.push_back(s);
     }
   }
@@ -91,19 +91,6 @@ int iosim_main(int argc, char** argv) {
     return 2;
   }
   return run_scenarios(specs, opt);
-}
-
-int alias_main(const char* scenario_name, int argc, char** argv) {
-  const Spec* s = Registry::global().find(scenario_name);
-  if (s == nullptr) return unknown_scenario(scenario_name);
-  expt::Options opt(s->default_scale);
-  opt.parse(argc, argv);
-  if (!opt.error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", scenario_name, opt.error.c_str());
-    return 2;
-  }
-  opt.scale_given = true;  // default already resolved from the spec
-  return run_scenarios({s}, opt);
 }
 
 }  // namespace scenario

@@ -1,4 +1,4 @@
-// scenario/driver.hpp — the `iosim` CLI and the bench-name aliases.
+// scenario/driver.hpp — the `iosim` CLI.
 #pragma once
 
 namespace scenario {
@@ -6,10 +6,5 @@ namespace scenario {
 /// `iosim list` / `iosim run <name>...|--all [flags]`.  Returns the
 /// process exit code.
 int iosim_main(int argc, char** argv);
-
-/// Entry point for the legacy bench binaries: `bench_fig1 ...` behaves
-/// exactly like `iosim run fig1 ...` (same flags, same bytes on stdout),
-/// so EXPERIMENTS.md commands and CI goldens keep working.
-int alias_main(const char* scenario_name, int argc, char** argv);
 
 }  // namespace scenario

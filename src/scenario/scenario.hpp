@@ -164,16 +164,6 @@ class Context {
     return out;
   }
 
-  /// Typed fan-out over a declared grid.
-  template <class R, class Fn>
-  std::vector<R> map_grid(const std::vector<Axis>& grid, Fn&& fn) {
-    std::vector<R> out(grid_size(grid));
-    for_each_point(out.size(), [&](std::size_t i) {
-      out[i] = fn(grid_point(grid, i));
-    });
-    return out;
-  }
-
  private:
   friend class Runner;
 

@@ -32,6 +32,12 @@ std::optional<Coordination> parse_coordination(std::string_view s) {
 
 namespace {
 
+/// Concurrent heavy-I/O phases platform-wide under kOrderedSlots.
+constexpr std::uint64_t kIoSlots = 2;
+/// Backfill reservations pad each job's ideal runtime by this margin
+/// (real schedulers' user estimates are padded, too).
+constexpr double kEstimateMargin = 1.5;
+
 /// Per-job runtime state while it is queued/running.
 struct JobRt {
   Job job;
@@ -85,8 +91,8 @@ simkit::Task<void> ckpt_fsync(State& st, JobRt& rt) {
                                   rt.ckpt_file, st.opt.retry, &st.retry);
 }
 
-simkit::Time est_finish(const State& st, const JobRt& rt) {
-  return rt.out.start_time + rt.out.ideal_runtime_s * st.opt.estimate_margin;
+simkit::Time est_finish(const JobRt& rt) {
+  return rt.out.start_time + rt.out.ideal_runtime_s * kEstimateMargin;
 }
 
 void schedule(State& st);
@@ -383,12 +389,12 @@ void schedule(State& st) {
   for (const JobRt* rt : st.pending) {
     pending.push_back({rt->job.id, rt->job.klass.nodes,
                        rt->job.klass.priority, rt->job.arrival,
-                       rt->out.ideal_runtime_s * st.opt.estimate_margin});
+                       rt->out.ideal_runtime_s * kEstimateMargin});
   }
   std::vector<RunningView> running;
   running.reserve(st.running.size());
   for (const JobRt* rt : st.running) {
-    running.push_back({rt->job.klass.nodes, est_finish(st, *rt)});
+    running.push_back({rt->job.klass.nodes, est_finish(*rt)});
   }
   std::vector<std::size_t> sel =
       select_jobs(st.opt.discipline, pending, st.alloc.free_count(),
@@ -459,8 +465,7 @@ PlatformReport run(hw::Machine& machine, pfs::StripedFs& fs,
         [h, e](std::size_t n) { h->note_recovery(n, e->now()); });
   }
   if (opt.coordination == Coordination::kOrderedSlots) {
-    st.io_slots = std::make_unique<simkit::Resource>(
-        eng, static_cast<std::uint64_t>(std::max(1, opt.io_slots)));
+    st.io_slots = std::make_unique<simkit::Resource>(eng, kIoSlots);
   }
 
   if (st.unfinished > 0) {

@@ -50,15 +50,10 @@ std::optional<Coordination> parse_coordination(std::string_view s);
 struct PlatformOptions {
   Discipline discipline = Discipline::kFcfs;
   Coordination coordination = Coordination::kFreeForAll;
-  /// Concurrent heavy-I/O phases platform-wide under kOrderedSlots.
-  int io_slots = 2;
   /// Retry/backoff policy for all job I/O (step, checkpoint, restore).
   pario::RetryPolicy retry;
   /// A job whose restarts exceed this gives up (completed=false).
   int max_restarts = 16;
-  /// Backfill reservations use estimate_runtime_s times this margin
-  /// (real schedulers' user estimates are padded, too).
-  double estimate_margin = 1.5;
 };
 
 /// Everything measured about one job's life on the platform.

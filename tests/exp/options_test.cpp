@@ -1,5 +1,6 @@
 // Tests for expt::Options command-line parsing — especially the strict
-// unknown-flag rejection (parse records the error; callers exit 2).
+// rejection of unknown flags and unparsable numeric values (parse
+// records the error; callers exit 2).
 #include "exp/options.hpp"
 
 #include <gtest/gtest.h>
@@ -82,6 +83,54 @@ TEST(Options, MisspelledKnownFlagIsRejected) {
   const expt::Options opt = parse({"--scale", "0.5"});  // missing '='
   ASSERT_FALSE(opt.error.empty());
   EXPECT_NE(opt.error.find("'--scale'"), std::string::npos);
+}
+
+/// parse() must reject `args`, naming `flag` and quoting `value`.
+void expect_rejected(std::vector<const char*> args, const std::string& flag,
+                     const std::string& value) {
+  const expt::Options opt = parse(args);
+  ASSERT_FALSE(opt.error.empty()) << flag << " " << value;
+  EXPECT_NE(opt.error.find(flag), std::string::npos) << opt.error;
+  EXPECT_NE(opt.error.find("'" + value + "'"), std::string::npos) << opt.error;
+}
+
+TEST(Options, ScaleMustBeAFiniteNonNegativeNumber) {
+  for (const std::string v :
+       {"garbage", "0.5x", "", "-1", "1e999", "inf", "nan"}) {
+    expect_rejected({("--scale=" + v).c_str()}, "--scale", v);
+  }
+  // Zero stays legal: it makes step I/O and compute vanish.
+  const expt::Options zero = parse({"--scale=0"});
+  EXPECT_TRUE(zero.error.empty());
+  EXPECT_TRUE(zero.scale_given);
+  EXPECT_DOUBLE_EQ(zero.scale, 0.0);
+}
+
+TEST(Options, SeedMustBeAnUnsigned64BitValue) {
+  for (const std::string v :
+       {"garbage", "7x", "", "-1", "18446744073709551616"}) {
+    expect_rejected({("--seed=" + v).c_str()}, "--seed", v);
+  }
+  const expt::Options max = parse({"--seed=18446744073709551615"});
+  EXPECT_TRUE(max.error.empty());
+  EXPECT_EQ(max.seed, 18446744073709551615u);
+}
+
+TEST(Options, JobsMustBeAtLeastOne) {
+  for (const std::string v : {"garbage", "4x", "", "-1", "0", "99999999999"}) {
+    expect_rejected({("--jobs=" + v).c_str()}, "--jobs", v);
+    expect_rejected({"-j", v.c_str()}, "-j", v);
+    if (!v.empty()) expect_rejected({("-j" + v).c_str()}, "-j", v);
+  }
+  expect_rejected({"-j"}, "-j", "");  // value missing at the end
+  EXPECT_EQ(parse({"--jobs=3"}).jobs, 3);
+}
+
+TEST(Options, RepeatMustBeAtLeastOne) {
+  for (const std::string v : {"garbage", "2x", "", "-1", "0", "99999999999"}) {
+    expect_rejected({("--repeat=" + v).c_str()}, "--repeat", v);
+  }
+  EXPECT_EQ(parse({"--repeat=3"}).repeat, 3);
 }
 
 }  // namespace

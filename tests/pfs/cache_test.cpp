@@ -1,15 +1,18 @@
-// Tests for the LRU block cache with dirty pinning.
-#include "pfs/cache.hpp"
+// Tests for the I/O node's LRU block cache (iosrv::LruPolicy) with dirty
+// pinning.
+#include "iosrv/cache_policy.hpp"
 
 #include <gtest/gtest.h>
+
+#include "pfs/types.hpp"
 
 namespace pfs {
 namespace {
 
-BlockKey k(FileId f, std::uint64_t b) { return BlockKey{f, b}; }
+iosrv::BlockKey k(FileId f, std::uint64_t b) { return {f, b}; }
 
 TEST(BlockCache, MissThenHit) {
-  BlockCache c(4);
+  iosrv::LruPolicy c(4);
   EXPECT_FALSE(c.lookup(k(0, 0)));
   c.insert(k(0, 0), false);
   EXPECT_TRUE(c.lookup(k(0, 0)));
@@ -18,7 +21,7 @@ TEST(BlockCache, MissThenHit) {
 }
 
 TEST(BlockCache, LruEviction) {
-  BlockCache c(2);
+  iosrv::LruPolicy c(2);
   c.insert(k(0, 0), false);
   c.insert(k(0, 1), false);
   EXPECT_TRUE(c.lookup(k(0, 0)));  // 0 becomes MRU
@@ -29,7 +32,7 @@ TEST(BlockCache, LruEviction) {
 }
 
 TEST(BlockCache, DirtyBlocksAreNotEvicted) {
-  BlockCache c(2);
+  iosrv::LruPolicy c(2);
   c.insert(k(0, 0), true);   // dirty, pinned
   c.insert(k(0, 1), false);
   c.insert(k(0, 2), false);  // must evict 1, not the dirty 0
@@ -39,7 +42,7 @@ TEST(BlockCache, DirtyBlocksAreNotEvicted) {
 }
 
 TEST(BlockCache, InsertFailsWhenAllPinned) {
-  BlockCache c(2);
+  iosrv::LruPolicy c(2);
   c.insert(k(0, 0), true);
   c.insert(k(0, 1), true);
   EXPECT_FALSE(c.insert(k(0, 2), false));
@@ -49,7 +52,7 @@ TEST(BlockCache, InsertFailsWhenAllPinned) {
 }
 
 TEST(BlockCache, ReinsertRefreshesAndMergesDirty) {
-  BlockCache c(2);
+  iosrv::LruPolicy c(2);
   c.insert(k(0, 0), false);
   EXPECT_FALSE(c.is_dirty(k(0, 0)));
   c.insert(k(0, 0), true);
@@ -62,14 +65,14 @@ TEST(BlockCache, ReinsertRefreshesAndMergesDirty) {
 }
 
 TEST(BlockCache, DistinguishesFiles) {
-  BlockCache c(4);
+  iosrv::LruPolicy c(4);
   c.insert(k(1, 7), false);
   EXPECT_FALSE(c.contains(k(2, 7)));
   EXPECT_TRUE(c.contains(k(1, 7)));
 }
 
 TEST(BlockCache, CapacityRespectedUnderChurn) {
-  BlockCache c(8);
+  iosrv::LruPolicy c(8);
   for (std::uint64_t i = 0; i < 1000; ++i) c.insert(k(0, i), false);
   EXPECT_LE(c.size(), 8u);
   EXPECT_TRUE(c.contains(k(0, 999)));

@@ -66,26 +66,27 @@ TEST(DiskArm, ScanServesInSweepOrder) {
 TEST(DiskArm, ScanReversesAtTheEdge) {
   simkit::Engine eng;
   DiskArm arm(eng, slow_seek_disk(), true);
-  std::vector<std::uint64_t> order;
-  // Prime the head high, then submit below-and-above requests.
-  eng.spawn([](DiskArm& a, std::vector<std::uint64_t>& out)
-                -> simkit::Task<void> {
+  std::vector<int> order;  // request ids, -1 = the primer
+  // Prime the head high, then submit below-and-above requests.  Ids 0/3
+  // tie at 900 MB (met sweeping up) and ids 2/4 tie at 300 MB (met
+  // sweeping down): at equal positions the earlier arrival goes first.
+  eng.spawn([](DiskArm& a, std::vector<int>& out) -> simkit::Task<void> {
     co_await a.serve(800ull << 20, 4096, hw::AccessKind::kRead);
-    out.push_back(800ull << 20);
+    out.push_back(-1);
   }(arm, order));
-  for (std::uint64_t off : {900ull << 20, 100ull << 20, 300ull << 20}) {
-    eng.spawn([](simkit::Engine& e, DiskArm& a, std::uint64_t off,
-                 std::vector<std::uint64_t>& out) -> simkit::Task<void> {
+  const std::uint64_t offs[] = {900ull << 20, 100ull << 20, 300ull << 20,
+                                900ull << 20, 300ull << 20};
+  for (int id = 0; id < 5; ++id) {
+    eng.spawn([](simkit::Engine& e, DiskArm& a, std::uint64_t off, int id,
+                 std::vector<int>& out) -> simkit::Task<void> {
       co_await e.delay(1e-6);
       co_await a.serve(off, 4096, hw::AccessKind::kRead);
-      out.push_back(off);
-    }(eng, arm, off, order));
+      out.push_back(id);
+    }(eng, arm, offs[id], id, order));
   }
   eng.run();
-  // Up to 900, then back down 300, 100.
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{800ull << 20, 900ull << 20,
-                                               300ull << 20,
-                                               100ull << 20}));
+  // Up to 900 (0 before 3), then back down 300 (2 before 4), 100.
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 3, 2, 4, 1}));
 }
 
 TEST(DiskArm, ScanFinishesScatteredBatchFaster) {
