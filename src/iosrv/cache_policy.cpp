@@ -1,6 +1,7 @@
 #include "iosrv/cache_policy.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace iosrv {
 
@@ -13,7 +14,8 @@ bool LruPolicy::lookup(const BlockKey& k) {
     return false;
   }
   count_hit();
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  const Entry& e = it->second;
+  lru_.move_to_front(lru_.side(e.dirty), e.pos, e.dirty);
   return true;
 }
 
@@ -25,59 +27,50 @@ bool LruPolicy::is_dirty(const BlockKey& k) const {
 bool LruPolicy::insert(const BlockKey& k, bool dirty) {
   auto it = map_.find(k);
   if (it != map_.end()) {
-    it->second.dirty = it->second.dirty || dirty;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    Entry& e = it->second;
+    lru_.move_to_front(lru_.side(e.dirty), e.pos, e.dirty || dirty);
+    e.dirty = e.dirty || dirty;
     return true;
   }
   while (map_.size() >= capacity()) {
     if (!evict_one_clean()) return false;  // everything pinned
   }
-  lru_.push_front(k);
-  map_.emplace(k, Entry{lru_.begin(), dirty});
+  map_.emplace(k, Entry{lru_.push_front(k, dirty), dirty});
   return true;
 }
 
 void LruPolicy::mark_clean(const BlockKey& k) {
   auto it = map_.find(k);
-  if (it != map_.end()) it->second.dirty = false;
+  if (it == map_.end() || !it->second.dirty) return;
+  lru_.unpin(it->second.pos);
+  it->second.dirty = false;
 }
 
-std::size_t LruPolicy::invalidate_all() {
-  std::size_t dirty = 0;
-  for (const auto& [k, e] : map_) {
-    if (e.dirty) ++dirty;
-  }
+void LruPolicy::invalidate_all() {
   lru_.clear();
   map_.clear();
-  return dirty;
 }
 
 bool LruPolicy::evict_one_clean() {
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    auto m = map_.find(*it);
-    if (!m->second.dirty) {
-      const BlockKey victim = *it;
-      lru_.erase(m->second.lru_pos);
-      map_.erase(m);
-      count_eviction(victim);
-      return true;
-    }
-  }
-  return false;
+  if (!lru_.has_victim()) return false;
+  const RecencyList::Pos v = lru_.victim();
+  const BlockKey victim = v->key;
+  map_.erase(victim);
+  lru_.side(false).erase(v);
+  count_eviction(victim);
+  return true;
 }
 
 // ---------------------------------------------------------------- ARC --
 
 bool ArcPolicy::contains(const BlockKey& k) const {
   auto it = map_.find(k);
-  return it != map_.end() &&
-         (it->second.list == List::kT1 || it->second.list == List::kT2);
+  return it != map_.end() && resident(it->second.list);
 }
 
 bool ArcPolicy::is_dirty(const BlockKey& k) const {
   auto it = map_.find(k);
-  return it != map_.end() && it->second.dirty &&
-         (it->second.list == List::kT1 || it->second.list == List::kT2);
+  return it != map_.end() && it->second.dirty;
 }
 
 bool ArcPolicy::lookup(const BlockKey& k) {
@@ -86,7 +79,7 @@ bool ArcPolicy::lookup(const BlockKey& k) {
     count_miss();
     return false;
   }
-  if (it->second.list != List::kT1 && it->second.list != List::kT2) {
+  if (!resident(it->second.list)) {
     // Ghost hit on a read: the data is gone, but the reference still
     // carries the adaptation signal — IF the ghost had read history.
     // A never-read ghost is a write whose one read-back arrived after
@@ -103,14 +96,12 @@ bool ArcPolicy::lookup(const BlockKey& k) {
   count_hit();
   Entry& e = it->second;
   if (e.referenced) {
-    promote(e, k);
+    promote(e);
   } else {
     // First read of a write-originated block: reading back one's own
     // write-behind data is recency, not reuse — refresh in place.
     e.referenced = true;
-    std::list<BlockKey>& l = list_of(e.list);
-    l.splice(l.begin(), l, e.pos);
-    e.pos = l.begin();
+    recency(e.list).move_to_front(nodes_of(e), e.pos, e.dirty);
   }
   return true;
 }
@@ -126,59 +117,51 @@ void ArcPolicy::adapt(bool in_b2) {
   }
 }
 
-void ArcPolicy::promote(Entry& e, const BlockKey& k) {
-  std::list<BlockKey>& from = list_of(e.list);
-  t2_.splice(t2_.begin(), from, e.pos);
+void ArcPolicy::promote(Entry& e) {
+  t2_.move_to_front(nodes_of(e), e.pos, e.dirty);
   e.list = List::kT2;
-  e.pos = t2_.begin();
-  (void)k;
 }
 
 void ArcPolicy::mark_clean(const BlockKey& k) {
   auto it = map_.find(k);
-  if (it != map_.end()) it->second.dirty = false;
+  if (it == map_.end() || !it->second.dirty) return;
+  assert(resident(it->second.list));  // ghosts are never dirty
+  recency(it->second.list).unpin(it->second.pos);
+  it->second.dirty = false;
 }
 
-std::size_t ArcPolicy::invalidate_all() {
-  std::size_t dirty = 0;
-  for (const auto& [k, e] : map_) {
-    if (e.dirty && (e.list == List::kT1 || e.list == List::kT2)) ++dirty;
-  }
+void ArcPolicy::invalidate_all() {
   t1_.clear();
   t2_.clear();
   b1_.clear();
   b2_.clear();
   map_.clear();
   p_ = 0.0;  // the adaptation history described a cache that no longer exists
-  return dirty;
 }
 
 void ArcPolicy::drop_ghost_lru(List ghost) {
-  std::list<BlockKey>& l = list_of(ghost);
+  RecencyList::Nodes& l = ghosts(ghost);
   if (l.empty()) return;
-  map_.erase(l.back());
+  map_.erase(l.back().key);
   l.pop_back();
 }
 
 bool ArcPolicy::evict_from(List from, const List* ghost) {
-  std::list<BlockKey>& l = list_of(from);
-  for (auto it = l.rbegin(); it != l.rend(); ++it) {
-    auto m = map_.find(*it);
-    if (m->second.dirty) continue;  // pinned
-    const BlockKey victim = *it;
-    if (ghost) {
-      std::list<BlockKey>& g = list_of(*ghost);
-      g.splice(g.begin(), l, m->second.pos);
-      m->second.list = *ghost;
-      m->second.pos = g.begin();
-    } else {
-      l.erase(m->second.pos);
-      map_.erase(m);
-    }
-    count_eviction(victim);
-    return true;
+  RecencyList& l = recency(from);
+  if (!l.has_victim()) return false;  // every member pinned
+  const RecencyList::Pos v = l.victim();
+  const BlockKey victim = v->key;
+  auto m = map_.find(victim);
+  if (ghost) {
+    RecencyList::Nodes& g = ghosts(*ghost);
+    g.splice(g.begin(), l.side(false), v);
+    m->second.list = *ghost;
+  } else {
+    l.side(false).erase(v);
+    map_.erase(m);
   }
-  return false;
+  count_eviction(victim);
+  return true;
 }
 
 bool ArcPolicy::replace(bool ghost_hit_in_b2) {
@@ -200,20 +183,18 @@ bool ArcPolicy::replace(bool ghost_hit_in_b2) {
 bool ArcPolicy::insert(const BlockKey& k, bool dirty) {
   const std::size_t c = capacity();
   auto it = map_.find(k);
-  if (it != map_.end() &&
-      (it->second.list == List::kT1 || it->second.list == List::kT2)) {
-    it->second.dirty = it->second.dirty || dirty;
+  if (it != map_.end() && resident(it->second.list)) {
+    Entry& e = it->second;
     if (dirty) {
       // Write-aware: a write refresh (write-behind absorbing sub-block
       // pieces, or a checkpoint rewriting its region) is not a
       // frequency signal — keep the block in its current list, just
       // refresh recency there.
-      std::list<BlockKey>& l = list_of(it->second.list);
-      l.splice(l.begin(), l, it->second.pos);
-      it->second.pos = l.begin();
+      recency(e.list).move_to_front(nodes_of(e), e.pos, true);
+      e.dirty = true;
     } else {
-      it->second.referenced = true;
-      promote(it->second, k);
+      e.referenced = true;
+      promote(e);
     }
     return true;
   }
@@ -225,7 +206,7 @@ bool ArcPolicy::insert(const BlockKey& k, bool dirty) {
       // read-back arriving after eviction — neither steers p nor earns
       // T2.  Forget the ghost and insert as if brand-new (landing in
       // T1 below; a clean insert starts its read history there).
-      list_of(it->second.list).erase(it->second.pos);
+      nodes_of(it->second).erase(it->second.pos);
       map_.erase(it);
       it = map_.end();
     } else {
@@ -234,12 +215,10 @@ bool ArcPolicy::insert(const BlockKey& k, bool dirty) {
       const bool in_b2 = it->second.list == List::kB2;
       adapt(in_b2);
       if (size() >= c && !replace(in_b2)) return false;  // all pinned
-      std::list<BlockKey>& g = list_of(it->second.list);
-      t2_.splice(t2_.begin(), g, it->second.pos);
-      it->second.list = List::kT2;
-      it->second.pos = t2_.begin();
-      it->second.dirty = dirty;
-      it->second.referenced = true;
+      Entry& e = it->second;
+      assert(!e.dirty);  // ghosts are never dirty
+      t2_.move_to_front(nodes_of(e), e.pos, false);
+      e.list = List::kT2;
       return true;
     }
   }
@@ -257,8 +236,8 @@ bool ArcPolicy::insert(const BlockKey& k, bool dirty) {
     if (map_.size() >= 2 * c) drop_ghost_lru(List::kB2);
     if (size() >= c && !replace(false)) return false;
   }
-  t1_.push_front(k);
-  map_.emplace(k, Entry{t1_.begin(), List::kT1, dirty, /*referenced=*/!dirty});
+  map_.emplace(k, Entry{t1_.push_front(k, dirty), List::kT1, dirty,
+                        /*referenced=*/!dirty});
   return true;
 }
 

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <string_view>
@@ -99,12 +100,10 @@ class CachePolicy {
 
   /// Drop every resident block (and any ghost/adaptation history) —
   /// power-loss semantics for a node crash.  Dirty pins do not survive:
-  /// the buffered data is gone, which is exactly the point.  Returns
-  /// the number of DIRTY blocks dropped (the lost-update count for
-  /// legacy write-behind, where the cache is the only dirty store).
-  /// Does NOT fire the evict listener: invalidation is loss, not
-  /// replacement, and is accounted separately by the caller.
-  virtual std::size_t invalidate_all() = 0;
+  /// the buffered data is gone, which is exactly the point.  The caller
+  /// accounts the loss from its own write-behind state.  Does NOT fire
+  /// the evict listener: invalidation is loss, not replacement.
+  virtual void invalidate_all() = 0;
 
  protected:
   void count_hit() noexcept { ++hits_; }
@@ -120,6 +119,64 @@ class CachePolicy {
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
   EvictListener listener_;
+};
+
+/// One recency list whose members are split by pin state: clean and
+/// dirty members each sit in their own MRU-first std::list.  Every move
+/// to an MRU end takes a fresh stamp from the list's counter, so each
+/// side is ordered by stamp and the two interleave, by stamp, into the
+/// single recency order a plain list would hold.  The least-recent
+/// UNPINNED member — the victim a walk from the LRU end would stop at —
+/// is therefore the clean side's tail, found without visiting a pinned
+/// block.  Nodes move between lists by splice, so a position stays
+/// valid for the node's lifetime wherever it moves.
+class RecencyList {
+ public:
+  struct Node {
+    BlockKey key;
+    std::uint64_t stamp = 0;
+  };
+  using Nodes = std::list<Node>;
+  using Pos = Nodes::iterator;
+
+  /// Clean plus dirty members.
+  std::size_t size() const noexcept { return clean_.size() + dirty_.size(); }
+  bool empty() const noexcept { return clean_.empty() && dirty_.empty(); }
+  /// The side holding one pin state (the splice source for moves).
+  Nodes& side(bool dirty) noexcept { return dirty ? dirty_ : clean_; }
+
+  /// Add a new member at the MRU end of its side.
+  Pos push_front(const BlockKey& k, bool dirty) {
+    Nodes& s = side(dirty);
+    s.push_front(Node{k, ++stamp_});
+    return s.begin();
+  }
+  /// Move `pos` out of `from` (a side of this or another list, or a
+  /// ghost list) to the MRU end of side `dirty`, restamped.
+  void move_to_front(Nodes& from, Pos pos, bool dirty) {
+    Nodes& s = side(dirty);
+    s.splice(s.begin(), from, pos);
+    pos->stamp = ++stamp_;
+  }
+  /// Move a dirty member to the clean side at its stamp position,
+  /// walking from the LRU end; its recency is unchanged.
+  void unpin(Pos pos) {
+    auto at = clean_.end();
+    while (at != clean_.begin() && std::prev(at)->stamp < pos->stamp) --at;
+    clean_.splice(at, dirty_, pos);
+  }
+  /// The least-recent clean member; `has_victim()` must hold.
+  bool has_victim() const noexcept { return !clean_.empty(); }
+  Pos victim() noexcept { return std::prev(clean_.end()); }
+
+  void clear() noexcept {
+    clean_.clear();
+    dirty_.clear();
+  }
+
+ private:
+  Nodes clean_, dirty_;
+  std::uint64_t stamp_ = 0;
 };
 
 /// Classic LRU with dirty pinning — the historical pfs::BlockCache
@@ -138,17 +195,17 @@ class LruPolicy final : public CachePolicy {
   bool is_dirty(const BlockKey& k) const override;
   bool insert(const BlockKey& k, bool dirty) override;
   void mark_clean(const BlockKey& k) override;
-  std::size_t invalidate_all() override;
+  void invalidate_all() override;
 
  private:
   struct Entry {
-    std::list<BlockKey>::iterator lru_pos;
+    RecencyList::Pos pos;
     bool dirty;
   };
 
   bool evict_one_clean();
 
-  std::list<BlockKey> lru_;
+  RecencyList lru_;
   std::unordered_map<BlockKey, Entry, BlockKeyHash> map_;
 };
 
@@ -184,7 +241,7 @@ class ArcPolicy final : public CachePolicy {
   bool is_dirty(const BlockKey& k) const override;
   bool insert(const BlockKey& k, bool dirty) override;
   void mark_clean(const BlockKey& k) override;
-  std::size_t invalidate_all() override;
+  void invalidate_all() override;
 
   /// Adaptation target for |T1| (test/diagnostic).
   double p() const noexcept { return p_; }
@@ -197,7 +254,7 @@ class ArcPolicy final : public CachePolicy {
   enum class List : std::uint8_t { kT1, kT2, kB1, kB2 };
 
   struct Entry {
-    std::list<BlockKey>::iterator pos;
+    RecencyList::Pos pos;
     List list;
     bool dirty = false;
     /// True once the block has a demand-read reference behind it (a
@@ -206,20 +263,26 @@ class ArcPolicy final : public CachePolicy {
     bool referenced = false;
   };
 
-  std::list<BlockKey>& list_of(List l) noexcept {
-    switch (l) {
-      case List::kT1: return t1_;
-      case List::kT2: return t2_;
-      case List::kB1: return b1_;
-      default: return b2_;
-    }
+  static bool resident(List l) noexcept {
+    return l == List::kT1 || l == List::kT2;
+  }
+  /// T1 or T2 (`l` must be resident).
+  RecencyList& recency(List l) noexcept {
+    return l == List::kT1 ? t1_ : t2_;
+  }
+  RecencyList::Nodes& ghosts(List l) noexcept {
+    return l == List::kB1 ? b1_ : b2_;
+  }
+  /// The std::list that holds `e`'s node.
+  RecencyList::Nodes& nodes_of(const Entry& e) noexcept {
+    return resident(e.list) ? recency(e.list).side(e.dirty) : ghosts(e.list);
   }
 
   /// Nudge `p` toward the list whose ghost was hit (B1 hit: grow T1's
   /// target; B2 hit: shrink it).
   void adapt(bool in_b2);
   /// Move a resident entry to the MRU end of T2 (a repeated reference).
-  void promote(Entry& e, const BlockKey& k);
+  void promote(Entry& e);
   /// Demote one unpinned resident to its ghost list per the ARC REPLACE
   /// rule (ghost_hit_in_b2 biases toward evicting from T1 at |T1|==p).
   /// Returns false when every resident block is pinned.
@@ -229,7 +292,10 @@ class ArcPolicy final : public CachePolicy {
   bool evict_from(List from, const List* ghost);
   void drop_ghost_lru(List ghost);
 
-  std::list<BlockKey> t1_, t2_, b1_, b2_;
+  RecencyList t1_, t2_;
+  /// Ghosts keep no data and are never dirty: one plain MRU-first list
+  /// each, of the same node type so a demotion is a splice.
+  RecencyList::Nodes b1_, b2_;
   std::unordered_map<BlockKey, Entry, BlockKeyHash> map_;
   double p_ = 0.0;
 };

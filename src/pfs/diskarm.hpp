@@ -10,7 +10,7 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <vector>
+#include <deque>
 
 #include "hw/disk.hpp"
 #include "metrics/metrics.hpp"
@@ -73,7 +73,9 @@ class DiskArm {
   bool busy_ = false;
   bool sweep_up_ = true;
   std::uint64_t services_ = 0;
-  std::vector<Waiter> queue_;  // arrival order (erase keeps it)
+  // Arrival order (erase keeps it).  A deque, so the FIFO pick — always
+  // the front — pops without moving the waiters behind it.
+  std::deque<Waiter> queue_;
 };
 
 }  // namespace pfs

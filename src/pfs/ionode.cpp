@@ -402,8 +402,7 @@ void IoNode::on_crash(bool scrub) {
     if (m_ra_waste_) m_ra_waste_->inc(ra_unused_.size());
     ra_unused_.clear();
   }
-  const std::size_t legacy_dirty = cache_->invalidate_all();
-  (void)legacy_dirty;
+  cache_->invalidate_all();
   ++cache_invalidations_;
   if (m_invalidations_) m_invalidations_->inc();
   if (pool_) {

@@ -52,6 +52,14 @@ TEST(DiskArm, FifoServesInArrivalOrder) {
   const std::vector<std::uint64_t> offs = {900 << 20, 10 << 20, 500 << 20,
                                            50 << 20};
   EXPECT_EQ(service_order(false, offs), offs);
+  // Deeper than the ~1.9k waiters one arm queues under the 224-job
+  // platform stream: 2048 scattered offsets (1237 is odd, so i * 1237
+  // mod 2048 permutes them).
+  std::vector<std::uint64_t> deep;
+  for (std::uint64_t i = 0; i < 2048; ++i) {
+    deep.push_back((i * 1237 % 2048) << 19);
+  }
+  EXPECT_EQ(service_order(false, deep), deep);
 }
 
 TEST(DiskArm, ScanServesInSweepOrder) {
