@@ -424,19 +424,7 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
     ckpt_retry.health = &*health;
     ckpt_retry.hedge_latency_multiple = opt.hedge_latency_multiple;
     if (injector && fs.params().server.durability.crash_semantics) {
-      // Crash/recovery edges feed the tracker directly, so routing does
-      // not need to observe a failed request to learn a node died, and
-      // hedges steer clear of freshly rebooted (cold-cache) servers.
-      // Gated on crash_semantics: without it a reboot leaves the cache
-      // warm, so there is no cold window for routing to avoid.
-      // The listeners reference this run's tracker: the injector must
-      // not be re-armed for another run (no caller does).
-      pario::HealthTracker* h = &*health;
-      simkit::Engine* e = &eng;
-      injector->on_node_crash(
-          [h, e](std::size_t n, bool) { h->note_crash(n, e->now()); });
-      injector->on_node_recovery(
-          [h, e](std::size_t n) { h->note_recovery(n, e->now()); });
+      pario::follow_crashes(*health, *injector, eng);
     }
   }
 

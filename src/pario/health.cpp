@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "fault/injector.hpp"
 #include "metrics/metrics.hpp"
+#include "simkit/engine.hpp"
 
 namespace pario {
 
@@ -154,6 +156,16 @@ void HealthTracker::note_repaired(std::uint64_t n) {
   if (metrics::Registry* r = metrics::current()) {
     r->counter("pario.health.repairs").inc(n);
   }
+}
+
+void follow_crashes(HealthTracker& health, fault::Injector& injector,
+                    simkit::Engine& eng) {
+  injector.on_node_crash([&health, &eng](std::size_t n, bool) {
+    health.note_crash(n, eng.now());
+  });
+  injector.on_node_recovery([&health, &eng](std::size_t n) {
+    health.note_recovery(n, eng.now());
+  });
 }
 
 }  // namespace pario

@@ -21,6 +21,13 @@
 #include "pfs/types.hpp"
 #include "simkit/time.hpp"
 
+namespace fault {
+class Injector;
+}
+namespace simkit {
+class Engine;
+}
+
 namespace pario {
 
 struct HealthParams {
@@ -123,5 +130,15 @@ class HealthTracker {
   std::uint64_t hedge_losses_ = 0;
   std::uint64_t repaired_ = 0;
 };
+
+/// Feed `injector`'s crash and recovery edges into `health`, stamped with
+/// `eng`'s clock: routing learns a node died without observing a failed
+/// request, and hedges steer clear of freshly rebooted (cold-cache)
+/// servers.  Callers gate this on crash_semantics — without it a reboot
+/// leaves the cache warm, so there is no cold window to avoid.  The
+/// listeners reference `health` and `eng`, so the injector must not be
+/// re-armed for another run (no caller does).
+void follow_crashes(HealthTracker& health, fault::Injector& injector,
+                    simkit::Engine& eng);
 
 }  // namespace pario

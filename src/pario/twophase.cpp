@@ -1,10 +1,11 @@
 #include "pario/twophase.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <limits>
+#include <utility>
 
 #include "metrics/metrics.hpp"
 #include "mprt/collectives.hpp"
@@ -30,24 +31,32 @@ struct TpMeters {
   metrics::Counter* io_bytes = nullptr;
 };
 
-// ---------------------------------------------------------------------------
-// Extent metadata exchange: every rank learns every rank's (sorted) piece
-// list.  gatherv to rank 0 + broadcast of the concatenated table — the
-// same global-view step MPI-IO implementations perform.
-// ---------------------------------------------------------------------------
-
-std::vector<std::byte> serialize_extents(const std::vector<Extent>& v) {
-  std::vector<std::byte> out(v.size() * 16);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    std::uint64_t pair[2] = {v[i].file_offset, v[i].length};
-    std::memcpy(out.data() + i * 16, pair, 16);
-  }
-  return out;
+/// One timed span of phase 2 (metadata, request, or data exchange).
+void note_exchange(TwoPhaseStats* stats, const TpMeters& m,
+                   simkit::Duration d) {
+  if (stats) stats->exchange_time += d;
+  if (m.exchange_s) m.exchange_s->observe(d);
 }
 
-std::vector<Extent> deserialize_extents(std::span<const std::byte> bytes) {
-  std::vector<Extent> v(bytes.size() / 16);
+// ---------------------------------------------------------------------------
+// Wire formats.  The flat plan's replicated table carries bare 16-byte
+// (file_offset, length) pairs; the hierarchical plan ships each piece list
+// inline as a count-prefixed record, [n u64][n pairs], ahead of the data.
+// ---------------------------------------------------------------------------
+
+void put_pairs(std::vector<std::byte>& out, const std::vector<Extent>& v) {
+  const std::size_t at = out.size();
+  out.resize(at + v.size() * 16);
   for (std::size_t i = 0; i < v.size(); ++i) {
+    std::uint64_t pair[2] = {v[i].file_offset, v[i].length};
+    std::memcpy(out.data() + at + i * 16, pair, 16);
+  }
+}
+
+std::vector<Extent> get_pairs(std::span<const std::byte> bytes,
+                              std::size_t n) {
+  std::vector<Extent> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t pair[2];
     std::memcpy(pair, bytes.data() + i * 16, 16);
     v[i] = Extent{pair[0], pair[1], 0};
@@ -55,13 +64,41 @@ std::vector<Extent> deserialize_extents(std::span<const std::byte> bytes) {
   return v;
 }
 
+std::vector<std::byte> encode_records(const std::vector<Extent>& subs) {
+  std::vector<std::byte> out(8);
+  const std::uint64_t n = subs.size();
+  std::memcpy(out.data(), &n, 8);
+  put_pairs(out, subs);
+  return out;
+}
+
+std::vector<Extent> decode_records(std::span<const std::byte> pay) {
+  if (pay.size() < 8) return {};
+  std::uint64_t n = 0;
+  std::memcpy(&n, pay.data(), 8);
+  if (pay.size() < 8 + n * 16) return {};
+  return get_pairs(pay.subspan(8), static_cast<std::size_t>(n));
+}
+
+/// Byte offset where data begins inside a records+data payload.
+std::size_t records_size(const std::vector<Extent>& recs) {
+  return 8 + recs.size() * 16;
+}
+
+// ---------------------------------------------------------------------------
+// Metadata step: agree on the accessed range and who owns which part.
+// ---------------------------------------------------------------------------
+
+/// Every rank learns every rank's (sorted) piece list: gatherv to rank 0
+/// plus a broadcast of [P x u64 counts][all pairs] — the same global-view
+/// step MPI-IO implementations perform.
 simkit::Task<std::vector<std::vector<Extent>>> allgather_extents(
     mprt::Comm& c, const std::vector<Extent>& mine) {
   const int p = c.size();
-  auto my_bytes = serialize_extents(mine);
+  std::vector<std::byte> my_bytes;
+  put_pairs(my_bytes, mine);
   auto gathered = co_await mprt::gatherv(c, 0, my_bytes.size(), my_bytes);
 
-  // Root concatenates [P x u64 counts][all extent pairs] and broadcasts.
   std::vector<std::byte> table;
   if (c.rank() == 0) {
     table.resize(static_cast<std::size_t>(p) * 8);
@@ -87,57 +124,12 @@ simkit::Task<std::vector<std::vector<Extent>>> allgather_extents(
   for (int r = 0; r < p; ++r) {
     std::uint64_t n = 0;
     std::memcpy(&n, table.data() + static_cast<std::size_t>(r) * 8, 8);
-    all[static_cast<std::size_t>(r)] = deserialize_extents(
-        std::span<const std::byte>(table).subspan(cursor, n * 16));
+    all[static_cast<std::size_t>(r)] = get_pairs(
+        std::span<const std::byte>(table).subspan(cursor), n);
     cursor += n * 16;
   }
   co_return all;
 }
-
-struct Domains {
-  std::uint64_t lo = 0;
-  std::uint64_t chunk = 0;  // size of each rank's file domain
-  std::uint64_t hi = 0;
-
-  std::pair<std::uint64_t, std::uint64_t> of(int rank) const {
-    const std::uint64_t d_lo =
-        lo + chunk * static_cast<std::uint64_t>(rank);
-    return {std::min(d_lo, hi), std::min(d_lo + chunk, hi)};
-  }
-};
-
-Domains make_domains(std::uint64_t lo, std::uint64_t hi, int p,
-                     std::uint64_t stripe_unit) {
-  if (hi <= lo) return {0, 0, 0};
-  // Stripe-aligned domains keep each aggregator talking to a stable
-  // subset of I/O nodes.
-  std::uint64_t chunk = (hi - lo + static_cast<std::uint64_t>(p) - 1) /
-                        static_cast<std::uint64_t>(p);
-  chunk = (chunk + stripe_unit - 1) / stripe_unit * stripe_unit;
-  return {lo, chunk, hi};
-}
-
-Domains partition(const std::vector<std::vector<Extent>>& all, int p,
-                  std::uint64_t stripe_unit) {
-  std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
-  for (const auto& v : all) {
-    for (const auto& e : v) {
-      lo = std::min(lo, e.file_offset);
-      hi = std::max(hi, e.file_end());
-    }
-  }
-  return make_domains(lo, hi, p, stripe_unit);
-}
-
-// ---------------------------------------------------------------------------
-// Hierarchical (aggregator-subset) path — active under a kTwoLevel
-// collective topology.  The group leaders ARE the aggregators, so the
-// rank->aggregator data motion rides the same leader routing the
-// collectives use, and the O(P)-per-rank extent table is replaced by an
-// allreduce of the global [lo, hi) bounds.  Per-source sub-extent lists —
-// which the flat path reads out of the replicated table — are shipped
-// inline as 16-byte (file_offset, length) records ahead of the data.
-// ---------------------------------------------------------------------------
 
 /// Global [lo, hi) of the collective access without the replicated extent
 /// table: an allreduce of {min offset, -max end} under kMin.  Offsets ride
@@ -160,333 +152,237 @@ simkit::Task<std::pair<std::uint64_t, std::uint64_t>> reduce_bounds(
   co_return bounds;
 }
 
-/// Record frame: [n u64][n x (file_offset u64, length u64)].  Data bytes,
-/// when carried, follow the records in the same payload.
-std::vector<std::byte> encode_records(const std::vector<Extent>& subs) {
-  std::vector<std::byte> out(8 + subs.size() * 16);
-  const std::uint64_t n = subs.size();
-  std::memcpy(out.data(), &n, 8);
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    std::uint64_t pair[2] = {subs[i].file_offset, subs[i].length};
-    std::memcpy(out.data() + 8 + i * 16, pair, 16);
+struct Domains {
+  std::uint64_t lo = 0;
+  std::uint64_t chunk = 0;  // size of each file domain; 0 = nothing to do
+  std::uint64_t hi = 0;
+
+  std::pair<std::uint64_t, std::uint64_t> of(int domain) const {
+    const std::uint64_t d_lo =
+        lo + chunk * static_cast<std::uint64_t>(domain);
+    return {std::min(d_lo, hi), std::min(d_lo + chunk, hi)};
+  }
+};
+
+Domains make_domains(std::uint64_t lo, std::uint64_t hi, int n,
+                     std::uint64_t stripe_unit) {
+  if (hi <= lo) return {0, 0, 0};
+  // Stripe-aligned domains keep each aggregator talking to a stable
+  // subset of I/O nodes.
+  std::uint64_t chunk = (hi - lo + static_cast<std::uint64_t>(n) - 1) /
+                        static_cast<std::uint64_t>(n);
+  chunk = (chunk + stripe_unit - 1) / stripe_unit * stripe_unit;
+  return {lo, chunk, hi};
+}
+
+/// The per-call plan.  File domain a belongs to rank a * width: width 1
+/// on the flat plan (ranks past the aggregator count own empty domains),
+/// the leader-group width under kTwoLevel, where the group leaders
+/// aggregate.  The flat plan learns each source's pieces from the
+/// replicated extent table; the hierarchical plan ships them inline as
+/// records, so only there does a read need a request round first.
+struct Plan {
+  Domains dom;
+  int naggs = 0;
+  int width = 1;
+  bool records = false;
+  std::vector<std::vector<Extent>> table;  // flat: every rank's pieces
+};
+
+/// Sorts my pieces and runs the metadata step both directions share.
+simkit::Task<Plan> make_plan(mprt::Comm& comm, pfs::StripedFs& fs,
+                             pfs::FileId file, std::vector<Extent>& mine,
+                             int aggregators, TwoPhaseStats* stats,
+                             const TpMeters& m) {
+  simkit::Engine& eng = comm.engine();
+  const int p = comm.size();
+  std::sort(mine.begin(), mine.end(), [](const Extent& a, const Extent& b) {
+    return a.file_offset != b.file_offset ? a.file_offset < b.file_offset
+                                          : a.buf_offset < b.buf_offset;
+  });
+  const simkit::Time t_meta = eng.now();
+  Plan plan;
+  std::pair<std::uint64_t, std::uint64_t> bounds{~std::uint64_t{0}, 0};
+  if (comm.topology().kind == mprt::CollectiveTopology::Kind::kTwoLevel) {
+    // The topology's group leaders aggregate; `aggregators` is superseded.
+    plan.width = mprt::two_level_group_width(p, comm.topology());
+    plan.naggs = (p + plan.width - 1) / plan.width;
+    plan.records = true;
+    bounds = co_await reduce_bounds(comm, mine);
+  } else {
+    plan.table = co_await allgather_extents(comm, mine);
+    plan.naggs = aggregators > 0 && aggregators <= p ? aggregators : p;
+    for (const auto& v : plan.table) {
+      for (const auto& e : v) {
+        bounds.first = std::min(bounds.first, e.file_offset);
+        bounds.second = std::max(bounds.second, e.file_end());
+      }
+    }
+  }
+  plan.dom = make_domains(bounds.first, bounds.second, plan.naggs,
+                          fs.stripe_map(file).stripe_unit());
+  note_exchange(stats, m, eng.now() - t_meta);
+  co_return plan;
+}
+
+/// Piece lists keyed by peer rank, holding only non-empty lists.
+using PeerPieces = std::vector<std::pair<std::size_t, std::vector<Extent>>>;
+
+/// My pieces cut by file domain, keyed by the owning aggregator.
+PeerPieces by_domain(const Plan& plan, const std::vector<Extent>& mine) {
+  PeerPieces out;
+  for (int a = 0; a < plan.naggs; ++a) {
+    const auto [lo, hi] = plan.dom.of(a);
+    auto subs = TwoPhase::intersect(mine, lo, hi);
+    if (!subs.empty()) {
+      out.emplace_back(static_cast<std::size_t>(a * plan.width),
+                       std::move(subs));
+    }
   }
   return out;
 }
 
-std::vector<Extent> decode_records(std::span<const std::byte> pay) {
-  if (pay.size() < 8) return {};
-  std::uint64_t n = 0;
-  std::memcpy(&n, pay.data(), 8);
-  if (pay.size() < 8 + n * 16) return {};
-  std::vector<Extent> v(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    std::uint64_t pair[2];
-    std::memcpy(pair, pay.data() + 8 + i * 16, 16);
-    v[i] = Extent{pair[0], pair[1], 0};
+/// Each source's pieces inside this rank's file domain: cut from the
+/// replicated table, which is then released, or decoded from the records
+/// that arrived inline in `in`.
+PeerPieces by_source(Plan& plan, const mprt::Comm& comm,
+                     const std::vector<mprt::Message>& in) {
+  PeerPieces out;
+  if (comm.rank() % plan.width != 0) return out;  // not an aggregator
+  const auto [lo, hi] = plan.dom.of(comm.rank() / plan.width);
+  const auto p = static_cast<std::size_t>(comm.size());
+  for (std::size_t s = 0; s < p; ++s) {
+    auto subs = plan.records ? decode_records(in[s].payload)
+                             : TwoPhase::intersect(plan.table[s], lo, hi);
+    if (!subs.empty()) out.emplace_back(s, std::move(subs));
   }
-  return v;
+  plan.table = {};
+  return out;
 }
 
-/// Byte offset where data begins inside a records+data payload.
-std::size_t records_size(const std::vector<Extent>& recs) {
-  return 8 + recs.size() * 16;
+/// Merged runs covering every source's pieces.
+std::vector<Extent> runs_of(const PeerPieces& sources) {
+  std::vector<Extent> pieces;
+  for (const auto& [src, subs] : sources) {
+    pieces.insert(pieces.end(), subs.begin(), subs.end());
+  }
+  return TwoPhase::merge_runs(std::move(pieces));
 }
 
-/// Collective write over the aggregator subset.  Parameters by value
-/// (coroutine); comm/fs stay alive in the caller's frame across the await.
-simkit::Task<void> hier_write(mprt::Comm& comm, pfs::StripedFs& fs,
-                              pfs::FileId file, std::vector<Extent> mine,
-                              std::span<const std::byte> local_data,
-                              TwoPhaseStats* stats, TwoPhaseOptions options) {
-  simkit::Engine& eng = comm.engine();
-  const TpMeters m;
-  const int p = comm.size();
-  const int width = mprt::two_level_group_width(p, comm.topology());
-  const auto leaders = mprt::two_level_leaders(p, width);
-  const int naggs = static_cast<int>(leaders.size());
-
-  const simkit::Time t_meta = eng.now();
-  const auto bounds = co_await reduce_bounds(comm, mine);
-  const Domains dom = make_domains(bounds.first, bounds.second, naggs,
-                                   fs.stripe_map(file).stripe_unit());
-  if (stats) stats->exchange_time += eng.now() - t_meta;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_meta);
-  if (dom.chunk == 0) co_return;  // reduced bounds: all ranks agree
-
-  // ---- exchange phase: records (+ data) to the owning aggregators ------
-  const simkit::Time t_x = eng.now();
-  const bool with_data = !local_data.empty();
-  std::vector<std::uint64_t> send_bytes(static_cast<std::size_t>(p), 0);
-  std::vector<std::vector<std::byte>> payload_store(
-      static_cast<std::size_t>(p));
-  std::vector<std::span<const std::byte>> payload_views(
-      static_cast<std::size_t>(p));
-  std::uint64_t packed = 0;
-  for (int a = 0; a < naggs; ++a) {
-    const auto [dlo, dhi] = dom.of(a);
-    auto subs = TwoPhase::intersect(mine, dlo, dhi);
-    if (subs.empty()) continue;  // nothing for this aggregator: no message
-    const std::uint64_t data_bytes = total_length(subs);
-    const auto dst = static_cast<std::size_t>(leaders[a]);
-    auto& buf = payload_store[dst];
-    buf = encode_records(subs);
-    if (with_data) {
-      buf.reserve(buf.size() + data_bytes);
-      for (const auto& s : subs) {
-        buf.insert(buf.end(), local_data.begin() + s.buf_offset,
-                   local_data.begin() + s.buf_offset + s.length);
-      }
-    }
-    send_bytes[dst] = records_size(subs) + data_bytes;
-    payload_views[dst] = buf;
-    packed += records_size(subs) + data_bytes;
-  }
-  co_await comm.machine().mem_copy(packed);  // pack pass
-  // Named lvalue: see the GCC 12 note in TwoPhase::write.
-  auto received = co_await mprt::alltoallv(comm, send_bytes, payload_views);
-
-  // ---- aggregator side: decode records, assemble runs ------------------
-  const bool assemble = fs.is_backed(file);
-  const bool is_agg = comm.rank() % width == 0;
-  std::vector<Extent> runs;
-  std::vector<std::vector<std::byte>> run_bufs;
-  std::uint64_t unpacked = 0;
-  if (is_agg) {
-    std::vector<std::vector<Extent>> recs(static_cast<std::size_t>(p));
-    std::vector<Extent> domain_pieces;
-    for (int s = 0; s < p; ++s) {
-      recs[static_cast<std::size_t>(s)] =
-          decode_records(received[static_cast<std::size_t>(s)].payload);
-      const auto& rr = recs[static_cast<std::size_t>(s)];
-      domain_pieces.insert(domain_pieces.end(), rr.begin(), rr.end());
-    }
-    runs = TwoPhase::merge_runs(domain_pieces);
-    run_bufs.resize(runs.size());
-    if (assemble) {
-      for (std::size_t i = 0; i < runs.size(); ++i) {
-        run_bufs[i].resize(runs[i].length);
-      }
-      for (int s = 0; s < p; ++s) {
-        const auto& rr = recs[static_cast<std::size_t>(s)];
-        const auto& pay = received[static_cast<std::size_t>(s)].payload;
-        std::size_t cursor = records_size(rr);  // data follows records
-        for (const auto& sub : rr) {
-          auto it = std::upper_bound(
-              runs.begin(), runs.end(), sub.file_offset,
-              [](std::uint64_t off, const Extent& r) {
-                return off < r.file_offset;
-              });
-          const auto run_idx = static_cast<std::size_t>(
-              std::distance(runs.begin(), std::prev(it)));
-          if (pay.size() >= cursor + sub.length) {
-            std::memcpy(run_bufs[run_idx].data() +
-                            (sub.file_offset - runs[run_idx].file_offset),
-                        pay.data() + cursor, sub.length);
-          }
-          cursor += sub.length;
-          unpacked += sub.length;
-        }
-      }
-    } else {
-      for (const auto& rr : recs) unpacked += total_length(rr);
-    }
-  }
-  co_await comm.machine().mem_copy(unpacked);  // unpack pass
-  if (stats) stats->exchange_time += eng.now() - t_x;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_x);
-
-  // ---- I/O phase: only aggregators have runs ---------------------------
-  const simkit::Time t_io = eng.now();
-  std::exception_ptr deferred;  // see TwoPhaseOptions::retry
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    std::span<const std::byte> run_view;
-    if (assemble) run_view = run_bufs[i];
-    if (options.retry) {
-      try {
-        co_await resilient_pwrite(fs, comm.node(), file,
-                                  runs[i].file_offset, runs[i].length,
-                                  run_view, *options.retry,
-                                  options.retry_stats);
-      } catch (const pfs::IoError&) {
-        deferred = std::current_exception();
-        break;  // abandon my domain; complete the protocol below
-      }
-    } else {
-      co_await fs.pwrite(comm.node(), file, runs[i].file_offset,
-                         runs[i].length, run_view);
-    }
-    if (stats) {
-      ++stats->io_calls;
-      stats->io_bytes += runs[i].length;
-    }
-    if (m.io_calls) {
-      m.io_calls->inc();
-      m.io_bytes->inc(runs[i].length);
-    }
-  }
-  if (stats) stats->io_time += eng.now() - t_io;
-  if (m.io_s) m.io_s->observe(eng.now() - t_io);
-
-  co_await mprt::barrier(comm);  // collective completion
-  if (deferred) std::rethrow_exception(deferred);
-}
-
-/// Collective read over the aggregator subset: a request round (records
-/// only), aggregator preads, then a reply round (data in request order).
-simkit::Task<void> hier_read(mprt::Comm& comm, pfs::StripedFs& fs,
-                             pfs::FileId file, std::vector<Extent> mine,
-                             std::span<std::byte> local_out,
-                             TwoPhaseStats* stats, TwoPhaseOptions options) {
-  simkit::Engine& eng = comm.engine();
-  const TpMeters m;
-  const int p = comm.size();
-  const int width = mprt::two_level_group_width(p, comm.topology());
-  const auto leaders = mprt::two_level_leaders(p, width);
-  const int naggs = static_cast<int>(leaders.size());
-
-  const simkit::Time t_meta = eng.now();
-  const auto bounds = co_await reduce_bounds(comm, mine);
-  const Domains dom = make_domains(bounds.first, bounds.second, naggs,
-                                   fs.stripe_map(file).stripe_unit());
-  if (stats) stats->exchange_time += eng.now() - t_meta;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_meta);
-  if (dom.chunk == 0) co_return;
-
-  const bool serve_data = fs.is_backed(file);
-
-  // ---- request round: my sub-extent records to each aggregator ---------
-  const simkit::Time t_req = eng.now();
-  std::vector<std::vector<Extent>> my_subs(static_cast<std::size_t>(naggs));
-  std::vector<std::uint64_t> req_bytes(static_cast<std::size_t>(p), 0);
-  std::vector<std::vector<std::byte>> req_store(static_cast<std::size_t>(p));
-  std::vector<std::span<const std::byte>> req_views(
-      static_cast<std::size_t>(p));
-  std::uint64_t packed_req = 0;
-  for (int a = 0; a < naggs; ++a) {
-    const auto [dlo, dhi] = dom.of(a);
-    my_subs[static_cast<std::size_t>(a)] =
-        TwoPhase::intersect(mine, dlo, dhi);
-    const auto& subs = my_subs[static_cast<std::size_t>(a)];
-    if (subs.empty()) continue;
-    const auto dst = static_cast<std::size_t>(leaders[a]);
-    req_store[dst] = encode_records(subs);
-    req_bytes[dst] = records_size(subs);
-    req_views[dst] = req_store[dst];
-    packed_req += records_size(subs);
-  }
-  co_await comm.machine().mem_copy(packed_req);
-  auto requests = co_await mprt::alltoallv(comm, req_bytes, req_views);
-  if (stats) stats->exchange_time += eng.now() - t_req;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_req);
-
-  // ---- I/O phase (aggregators): pread the merged request runs ----------
-  const bool is_agg = comm.rank() % width == 0;
-  std::vector<std::vector<Extent>> recs(static_cast<std::size_t>(p));
-  std::vector<Extent> runs;
-  if (is_agg) {
-    std::vector<Extent> domain_pieces;
-    for (int s = 0; s < p; ++s) {
-      recs[static_cast<std::size_t>(s)] =
-          decode_records(requests[static_cast<std::size_t>(s)].payload);
-      const auto& rr = recs[static_cast<std::size_t>(s)];
-      domain_pieces.insert(domain_pieces.end(), rr.begin(), rr.end());
-    }
-    runs = TwoPhase::merge_runs(domain_pieces);
-  }
-  std::vector<std::vector<std::byte>> run_bufs(runs.size());
-  const simkit::Time t_io = eng.now();
-  std::exception_ptr deferred;  // see TwoPhaseOptions::retry
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (serve_data) run_bufs[i].resize(runs[i].length);
-    std::span<std::byte> run_view;
-    if (serve_data) run_view = run_bufs[i];
-    if (options.retry) {
-      try {
-        co_await resilient_pread(fs, comm.node(), file,
-                                 runs[i].file_offset, runs[i].length,
-                                 run_view, *options.retry,
-                                 options.retry_stats);
-      } catch (const pfs::IoError&) {
-        deferred = std::current_exception();
-        break;  // serve what we have; the caller discards on rethrow
-      }
-    } else {
-      co_await fs.pread(comm.node(), file, runs[i].file_offset,
-                        runs[i].length, run_view);
-    }
-    if (stats) {
-      ++stats->io_calls;
-      stats->io_bytes += runs[i].length;
-    }
-    if (m.io_calls) {
-      m.io_calls->inc();
-      m.io_bytes->inc(runs[i].length);
-    }
-  }
-  if (stats) stats->io_time += eng.now() - t_io;
-  if (m.io_s) m.io_s->observe(eng.now() - t_io);
-  if (deferred && serve_data) {
-    // Zero-fill unsized runs so the reply pack below stays valid; the
-    // caller discards the data on rethrow.
+/// One buffer per merged run, zero-filled when the file is backed (and
+/// empty otherwise): a read that breaks off after a failed run still
+/// packs valid bytes from the runs it never read.
+std::vector<std::vector<std::byte>> run_buffers(
+    const std::vector<Extent>& runs, bool backed) {
+  std::vector<std::vector<std::byte>> bufs(runs.size());
+  if (backed) {
     for (std::size_t i = 0; i < runs.size(); ++i) {
-      run_bufs[i].resize(runs[i].length);
+      bufs[i].resize(runs[i].length);
     }
   }
+  return bufs;
+}
 
-  // ---- reply round: data back to requesters, in request order ----------
-  const simkit::Time t_x = eng.now();
-  std::vector<std::uint64_t> rep_bytes(static_cast<std::size_t>(p), 0);
-  std::vector<std::vector<std::byte>> rep_store(static_cast<std::size_t>(p));
-  std::vector<std::span<const std::byte>> rep_views(
-      static_cast<std::size_t>(p));
+/// Where `sub` sits inside the buffer of the merged run that holds it.
+std::byte* run_bytes(const std::vector<Extent>& runs,
+                     std::vector<std::vector<std::byte>>& bufs,
+                     const Extent& sub) {
+  auto it = std::upper_bound(runs.begin(), runs.end(), sub.file_offset,
+                             [](std::uint64_t off, const Extent& r) {
+                               return off < r.file_offset;
+                             });
+  const auto i = static_cast<std::size_t>(std::prev(it) - runs.begin());
+  return bufs[i].data() + (sub.file_offset - runs[i].file_offset);
+}
+
+// ---------------------------------------------------------------------------
+// Phases.
+// ---------------------------------------------------------------------------
+
+/// Ships my per-domain pieces to their aggregators: the records when they
+/// travel inline, then the data bytes when `data` is non-empty.  A write
+/// counts its data bytes in the simulated size even when timing-only; a
+/// read's request round sends the records alone.
+simkit::Task<std::vector<mprt::Message>> to_aggregators(
+    mprt::Comm& comm, const Plan& plan, const PeerPieces& mine,
+    std::span<const std::byte> data, bool write) {
+  const auto p = static_cast<std::size_t>(comm.size());
+  std::vector<std::uint64_t> send_bytes(p, 0);
+  std::vector<std::vector<std::byte>> store(p);
+  std::vector<std::span<const std::byte>> views(p);
   std::uint64_t packed = 0;
-  for (int s = 0; s < p; ++s) {
-    const auto su = static_cast<std::size_t>(s);
-    const std::uint64_t bytes = total_length(recs[su]);
-    if (bytes == 0) continue;
-    rep_bytes[su] = bytes;
-    packed += bytes;
-    if (serve_data) {
-      auto& buf = rep_store[su];
-      buf.reserve(bytes);
-      for (const auto& sub : recs[su]) {
-        auto it = std::upper_bound(
-            runs.begin(), runs.end(), sub.file_offset,
-            [](std::uint64_t off, const Extent& r) {
-              return off < r.file_offset;
-            });
-        const auto run_idx = static_cast<std::size_t>(
-            std::distance(runs.begin(), std::prev(it)));
-        const auto* src = run_bufs[run_idx].data() +
-                          (sub.file_offset - runs[run_idx].file_offset);
-        buf.insert(buf.end(), src, src + sub.length);
+  for (const auto& [dst, subs] : mine) {
+    auto& buf = store[dst];
+    if (plan.records) buf = encode_records(subs);
+    const std::uint64_t bytes = total_length(subs);
+    if (!data.empty()) {
+      buf.reserve(buf.size() + bytes);
+      for (const auto& s : subs) {
+        buf.insert(buf.end(), data.begin() + s.buf_offset,
+                   data.begin() + s.buf_offset + s.length);
       }
-      rep_views[su] = buf;
     }
+    send_bytes[dst] =
+        (plan.records ? records_size(subs) : 0) + (write ? bytes : 0);
+    if (!buf.empty()) views[dst] = buf;
+    packed += send_bytes[dst];
   }
   co_await comm.machine().mem_copy(packed);  // pack pass
-  auto replies = co_await mprt::alltoallv(comm, rep_bytes, rep_views);
+  // By value, moved: a temporary vector passed through co_await trips a
+  // GCC 12 coroutine temporary-lifetime bug.
+  co_return co_await mprt::alltoallv(comm, std::move(send_bytes),
+                                     std::move(views));
+}
 
-  // Scatter replies by my own per-domain request order.
-  std::uint64_t unpacked = 0;
-  for (int a = 0; a < naggs; ++a) {
-    const auto& subs = my_subs[static_cast<std::size_t>(a)];
-    const auto& pay =
-        replies[static_cast<std::size_t>(leaders[a])].payload;
-    std::size_t cursor = 0;
-    for (const auto& sub : subs) {
-      if (!local_out.empty() && pay.size() >= cursor + sub.length) {
-        std::memcpy(local_out.data() + sub.buf_offset, pay.data() + cursor,
-                    sub.length);
+/// Phase 1: one large file-system call per merged run, moving real bytes
+/// through `bufs` (see run_buffers).  When a retry policy runs dry the
+/// IoError is returned, not thrown, so the caller completes the message
+/// protocol first (no rank deadlocks inside the collective) and the
+/// unread runs keep their zeroes, which the caller discards.
+simkit::Task<std::exception_ptr> io_phase(
+    mprt::Comm& comm, pfs::StripedFs& fs, pfs::FileId file, bool write,
+    const std::vector<Extent>& runs,
+    std::vector<std::vector<std::byte>>& bufs, TwoPhaseStats* stats,
+    const TpMeters& m, const TwoPhaseOptions& opt) {
+  simkit::Engine& eng = comm.engine();
+  const simkit::Time t_io = eng.now();
+  std::exception_ptr deferred;  // see TwoPhaseOptions::retry
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Extent& run = runs[i];
+    const std::span<std::byte> view = bufs[i];
+    if (opt.retry) {
+      try {
+        if (write) {
+          co_await resilient_pwrite(fs, comm.node(), file, run.file_offset,
+                                    run.length, view, *opt.retry,
+                                    opt.retry_stats);
+        } else {
+          co_await resilient_pread(fs, comm.node(), file, run.file_offset,
+                                   run.length, view, *opt.retry,
+                                   opt.retry_stats);
+        }
+      } catch (const pfs::IoError&) {
+        deferred = std::current_exception();
+        break;  // abandon my domain; complete the protocol
       }
-      cursor += sub.length;
-      unpacked += sub.length;
+    } else if (write) {
+      co_await fs.pwrite(comm.node(), file, run.file_offset, run.length,
+                         view);
+    } else {
+      co_await fs.pread(comm.node(), file, run.file_offset, run.length, view);
+    }
+    if (stats) {
+      ++stats->io_calls;
+      stats->io_bytes += run.length;
+    }
+    if (m.io_calls) {
+      m.io_calls->inc();
+      m.io_bytes->inc(run.length);
     }
   }
-  co_await comm.machine().mem_copy(unpacked);  // unpack pass
-  if (stats) stats->exchange_time += eng.now() - t_x;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_x);
-  if (deferred) std::rethrow_exception(deferred);
+  if (stats) stats->io_time += eng.now() - t_io;
+  if (m.io_s) m.io_s->observe(eng.now() - t_io);
+  co_return deferred;
 }
 
 }  // namespace
@@ -531,147 +427,42 @@ simkit::Task<void> TwoPhase::write(mprt::Comm& comm, pfs::StripedFs& fs,
                                    TwoPhaseOptions options) {
   simkit::Engine& eng = comm.engine();
   const TpMeters m;
-  const int p = comm.size();
-  std::sort(mine.begin(), mine.end(), [](const Extent& a, const Extent& b) {
-    return a.file_offset != b.file_offset ? a.file_offset < b.file_offset
-                                          : a.buf_offset < b.buf_offset;
-  });
-  if (comm.topology().kind == mprt::CollectiveTopology::Kind::kTwoLevel) {
-    // Aggregator-subset path: the topology's group leaders do the file
-    // I/O; options.aggregators is superseded by the leader set.
-    co_await hier_write(comm, fs, file, std::move(mine), local_data, stats,
-                        options);
-    co_return;
-  }
+  Plan plan = co_await make_plan(comm, fs, file, mine, options.aggregators,
+                                 stats, m);
+  if (plan.dom.chunk == 0) co_return;  // every rank agrees
 
-  const simkit::Time t_meta = eng.now();
-  auto all = co_await allgather_extents(comm, mine);
-  all[static_cast<std::size_t>(comm.rank())] = mine;  // keep buf offsets
-  // Ranks beyond the aggregator count own empty file domains and only
-  // participate in the exchange (ROMIO's collective-buffering nodes).
-  const int aggs = options.aggregators > 0 && options.aggregators <= p
-                       ? options.aggregators
-                       : p;
-  const Domains dom =
-      partition(all, aggs, fs.stripe_map(file).stripe_unit());
-  if (stats) stats->exchange_time += eng.now() - t_meta;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_meta);
-  if (dom.chunk == 0) co_return;
-
-  // ---- exchange phase: ship my pieces to their domain owners ----------
+  // ---- exchange phase: my pieces to their domain owners ---------------
   const simkit::Time t_x = eng.now();
-  const bool with_data = !local_data.empty();
-  std::vector<std::uint64_t> send_bytes(static_cast<std::size_t>(p), 0);
-  std::vector<std::vector<std::byte>> payload_store(
-      static_cast<std::size_t>(p));
-  std::vector<std::span<const std::byte>> payload_views(
-      static_cast<std::size_t>(p));
-  std::uint64_t packed = 0;
-  for (int d = 0; d < p; ++d) {
-    const auto [dlo, dhi] = dom.of(d);
-    auto subs = intersect(mine, dlo, dhi);
-    const std::uint64_t bytes = total_length(subs);
-    send_bytes[static_cast<std::size_t>(d)] = bytes;
-    packed += bytes;
-    if (with_data && bytes > 0) {
-      auto& buf = payload_store[static_cast<std::size_t>(d)];
-      buf.reserve(bytes);
-      for (const auto& s : subs) {
-        buf.insert(buf.end(), local_data.begin() + s.buf_offset,
-                   local_data.begin() + s.buf_offset + s.length);
-      }
-      payload_views[static_cast<std::size_t>(d)] = buf;
-    }
-  }
-  co_await comm.machine().mem_copy(packed);  // pack pass
-  // NOTE: payload_views stays a named lvalue — passing a temporary vector
-  // through co_await trips a GCC 12 coroutine temporary-lifetime bug.
-  // All-empty views are equivalent to "no data".
-  auto received = co_await mprt::alltoallv(comm, send_bytes, payload_views);
+  const PeerPieces my_domains = by_domain(plan, mine);
+  const auto received =
+      co_await to_aggregators(comm, plan, my_domains, local_data, true);
 
-  // ---- I/O phase: assemble my domain and write it in large runs -------
-  // Aggregator-side data handling keys off the FILE being backed, not off
-  // this rank's own buffer: a rank with no pieces of its own still owns a
-  // domain and must land other ranks' real bytes.
-  const bool assemble = fs.is_backed(file);
-  const auto [my_lo, my_hi] = dom.of(comm.rank());
-  std::vector<Extent> domain_pieces;
-  for (int s = 0; s < p; ++s) {
-    auto subs = intersect(all[static_cast<std::size_t>(s)], my_lo, my_hi);
-    domain_pieces.insert(domain_pieces.end(), subs.begin(), subs.end());
-  }
-  auto runs = merge_runs(domain_pieces);
+  // Aggregator side: assemble the domain's runs from each source.  Data
+  // handling keys off the FILE being backed, not this rank's own buffer:
+  // a rank with no pieces of its own may still own a domain.
+  const bool backed = fs.is_backed(file);
+  const PeerPieces sources = by_source(plan, comm, received);
+  const std::vector<Extent> runs = runs_of(sources);
+  auto run_bufs = run_buffers(runs, backed);
   std::uint64_t unpacked = 0;
-  std::vector<std::vector<std::byte>> run_bufs(runs.size());
-  if (assemble) {
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      run_bufs[i].resize(runs[i].length);
-    }
-    // Per-source sequential cursors over received payloads.
-    for (int s = 0; s < p; ++s) {
-      auto subs = intersect(all[static_cast<std::size_t>(s)], my_lo, my_hi);
-      const auto& pay = received[static_cast<std::size_t>(s)].payload;
-      std::size_t cursor = 0;
-      for (const auto& sub : subs) {
-        // Locate the run containing this sub-extent.
-        auto it = std::upper_bound(
-            runs.begin(), runs.end(), sub.file_offset,
-            [](std::uint64_t off, const Extent& r) {
-              return off < r.file_offset;
-            });
-        const auto run_idx = static_cast<std::size_t>(
-            std::distance(runs.begin(), std::prev(it)));
-        if (pay.size() >= cursor + sub.length) {
-          std::memcpy(run_bufs[run_idx].data() +
-                          (sub.file_offset - runs[run_idx].file_offset),
-                      pay.data() + cursor, sub.length);
-        }
-        cursor += sub.length;
-        unpacked += sub.length;
+  for (const auto& [src, subs] : sources) {
+    const auto& pay = received[src].payload;
+    std::size_t cursor = plan.records ? records_size(subs) : 0;
+    for (const auto& sub : subs) {
+      if (backed && pay.size() >= cursor + sub.length) {
+        std::memcpy(run_bytes(runs, run_bufs, sub), pay.data() + cursor,
+                    sub.length);
       }
-    }
-  } else {
-    for (int s = 0; s < p; ++s) {
-      unpacked += total_length(
-          intersect(all[static_cast<std::size_t>(s)], my_lo, my_hi));
+      cursor += sub.length;
+      unpacked += sub.length;
     }
   }
   co_await comm.machine().mem_copy(unpacked);  // unpack pass
-  if (stats) stats->exchange_time += eng.now() - t_x;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_x);
+  note_exchange(stats, m, eng.now() - t_x);
 
-  const simkit::Time t_io = eng.now();
-  std::exception_ptr deferred;  // see TwoPhaseOptions::retry
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    // Named view, no ternary in the co_await argument list (GCC 12).
-    std::span<const std::byte> run_view;
-    if (assemble) run_view = run_bufs[i];
-    if (options.retry) {
-      try {
-        co_await resilient_pwrite(fs, comm.node(), file,
-                                  runs[i].file_offset, runs[i].length,
-                                  run_view, *options.retry,
-                                  options.retry_stats);
-      } catch (const pfs::IoError&) {
-        deferred = std::current_exception();
-        break;  // abandon my domain; complete the protocol below
-      }
-    } else {
-      co_await fs.pwrite(comm.node(), file, runs[i].file_offset,
-                         runs[i].length, run_view);
-    }
-    if (stats) {
-      ++stats->io_calls;
-      stats->io_bytes += runs[i].length;
-    }
-    if (m.io_calls) {
-      m.io_calls->inc();
-      m.io_bytes->inc(runs[i].length);
-    }
-  }
-  if (stats) stats->io_time += eng.now() - t_io;
-  if (m.io_s) m.io_s->observe(eng.now() - t_io);
-
+  // ---- I/O phase: write the domain in large runs -----------------------
+  const std::exception_ptr deferred = co_await io_phase(
+      comm, fs, file, true, runs, run_bufs, stats, m, options);
   co_await mprt::barrier(comm);  // collective completion
   if (deferred) std::rethrow_exception(deferred);
 }
@@ -683,123 +474,60 @@ simkit::Task<void> TwoPhase::read(mprt::Comm& comm, pfs::StripedFs& fs,
                                   TwoPhaseOptions options) {
   simkit::Engine& eng = comm.engine();
   const TpMeters m;
-  const int p = comm.size();
-  std::sort(mine.begin(), mine.end(), [](const Extent& a, const Extent& b) {
-    return a.file_offset != b.file_offset ? a.file_offset < b.file_offset
-                                          : a.buf_offset < b.buf_offset;
-  });
-  if (comm.topology().kind == mprt::CollectiveTopology::Kind::kTwoLevel) {
-    co_await hier_read(comm, fs, file, std::move(mine), local_out, stats,
-                       options);
-    co_return;
+  Plan plan = co_await make_plan(comm, fs, file, mine, options.aggregators,
+                                 stats, m);
+  if (plan.dom.chunk == 0) co_return;
+
+  // ---- request round (inline records only) -----------------------------
+  const PeerPieces my_domains = by_domain(plan, mine);
+  PeerPieces sources;
+  {
+    // Scoped so the P-sized request buffers die before the reply round.
+    std::vector<mprt::Message> requests;
+    if (plan.records) {
+      const simkit::Time t_req = eng.now();
+      requests = co_await to_aggregators(comm, plan, my_domains, {}, false);
+      note_exchange(stats, m, eng.now() - t_req);
+    }
+    sources = by_source(plan, comm, requests);
   }
 
-  const simkit::Time t_meta = eng.now();
-  auto all = co_await allgather_extents(comm, mine);
-  all[static_cast<std::size_t>(comm.rank())] = mine;
-  const int aggs = options.aggregators > 0 && options.aggregators <= p
-                       ? options.aggregators
-                       : p;
-  const Domains dom =
-      partition(all, aggs, fs.stripe_map(file).stripe_unit());
-  if (stats) stats->exchange_time += eng.now() - t_meta;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_meta);
-  if (dom.chunk == 0) co_return;
+  // ---- I/O phase: read my domain's merged runs -------------------------
+  // As in write(), data handling keys off the file; only the final
+  // scatter depends on local_out.
+  const bool backed = fs.is_backed(file);
+  const std::vector<Extent> runs = runs_of(sources);
+  auto run_bufs = run_buffers(runs, backed);
+  const std::exception_ptr deferred = co_await io_phase(
+      comm, fs, file, false, runs, run_bufs, stats, m, options);
 
-  // Aggregator-side data handling keys off the FILE being backed (see the
-  // note in write()); only the final scatter depends on local_out.
-  const bool serve_data = fs.is_backed(file);
-
-  // ---- I/O phase: read my domain's needed runs -------------------------
-  const auto [my_lo, my_hi] = dom.of(comm.rank());
-  std::vector<Extent> domain_pieces;
-  for (int s = 0; s < p; ++s) {
-    auto subs = intersect(all[static_cast<std::size_t>(s)], my_lo, my_hi);
-    domain_pieces.insert(domain_pieces.end(), subs.begin(), subs.end());
-  }
-  auto runs = merge_runs(domain_pieces);
-  std::vector<std::vector<std::byte>> run_bufs(runs.size());
-  const simkit::Time t_io = eng.now();
-  std::exception_ptr deferred;  // see TwoPhaseOptions::retry
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (serve_data) run_bufs[i].resize(runs[i].length);
-    std::span<std::byte> run_view;
-    if (serve_data) run_view = run_bufs[i];
-    if (options.retry) {
-      try {
-        co_await resilient_pread(fs, comm.node(), file,
-                                 runs[i].file_offset, runs[i].length,
-                                 run_view, *options.retry,
-                                 options.retry_stats);
-      } catch (const pfs::IoError&) {
-        deferred = std::current_exception();
-        break;  // serve what we have; the caller discards on rethrow
-      }
-    } else {
-      co_await fs.pread(comm.node(), file, runs[i].file_offset,
-                        runs[i].length, run_view);
-    }
-    if (stats) {
-      ++stats->io_calls;
-      stats->io_bytes += runs[i].length;
-    }
-    if (m.io_calls) {
-      m.io_calls->inc();
-      m.io_bytes->inc(runs[i].length);
-    }
-  }
-  if (stats) stats->io_time += eng.now() - t_io;
-  if (m.io_s) m.io_s->observe(eng.now() - t_io);
-  if (deferred && serve_data) {
-    // A failed read broke out of the loop with later runs still unsized,
-    // but the pack pass below reads from every run.  Give them valid
-    // (zero-filled) storage; the caller discards the data on rethrow.
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      run_bufs[i].resize(runs[i].length);
-    }
-  }
-
-  // ---- exchange phase: ship pieces to their requesters -----------------
+  // ---- exchange phase: pieces back to their requesters -----------------
   const simkit::Time t_x = eng.now();
-  std::vector<std::uint64_t> send_bytes(static_cast<std::size_t>(p), 0);
-  std::vector<std::vector<std::byte>> payload_store(
-      static_cast<std::size_t>(p));
-  std::vector<std::span<const std::byte>> payload_views(
-      static_cast<std::size_t>(p));
+  const auto p = static_cast<std::size_t>(comm.size());
+  std::vector<std::uint64_t> send_bytes(p, 0);
+  std::vector<std::vector<std::byte>> store(p);
+  std::vector<std::span<const std::byte>> views(p);
   std::uint64_t packed = 0;
-  for (int s = 0; s < p; ++s) {
-    auto subs = intersect(all[static_cast<std::size_t>(s)], my_lo, my_hi);
-    const std::uint64_t bytes = total_length(subs);
-    send_bytes[static_cast<std::size_t>(s)] = bytes;
-    packed += bytes;
-    if (serve_data && bytes > 0) {
-      auto& buf = payload_store[static_cast<std::size_t>(s)];
-      buf.reserve(bytes);
-      for (const auto& sub : subs) {
-        auto it = std::upper_bound(
-            runs.begin(), runs.end(), sub.file_offset,
-            [](std::uint64_t off, const Extent& r) {
-              return off < r.file_offset;
-            });
-        const auto run_idx = static_cast<std::size_t>(
-            std::distance(runs.begin(), std::prev(it)));
-        const auto* src = run_bufs[run_idx].data() +
-                          (sub.file_offset - runs[run_idx].file_offset);
-        buf.insert(buf.end(), src, src + sub.length);
-      }
-      payload_views[static_cast<std::size_t>(s)] = buf;
+  for (const auto& [src, subs] : sources) {
+    send_bytes[src] = total_length(subs);
+    packed += send_bytes[src];
+    if (!backed) continue;
+    auto& buf = store[src];
+    buf.reserve(send_bytes[src]);
+    for (const auto& sub : subs) {
+      const std::byte* from = run_bytes(runs, run_bufs, sub);
+      buf.insert(buf.end(), from, from + sub.length);
     }
+    views[src] = buf;
   }
   co_await comm.machine().mem_copy(packed);  // pack pass
-  // Named lvalue: see the GCC 12 note in write().
-  auto received = co_await mprt::alltoallv(comm, send_bytes, payload_views);
+  const auto replies = co_await mprt::alltoallv(comm, std::move(send_bytes),
+                                                std::move(views));
 
-  // Scatter replies into my local buffer, per-domain sequential order.
+  // Scatter replies into my local buffer, in per-domain request order.
   std::uint64_t unpacked = 0;
-  for (int d = 0; d < p; ++d) {
-    const auto [dlo, dhi] = dom.of(d);
-    auto subs = intersect(mine, dlo, dhi);
-    const auto& pay = received[static_cast<std::size_t>(d)].payload;
+  for (const auto& [agg, subs] : my_domains) {
+    const auto& pay = replies[agg].payload;
     std::size_t cursor = 0;
     for (const auto& sub : subs) {
       if (!local_out.empty() && pay.size() >= cursor + sub.length) {
@@ -811,8 +539,7 @@ simkit::Task<void> TwoPhase::read(mprt::Comm& comm, pfs::StripedFs& fs,
     }
   }
   co_await comm.machine().mem_copy(unpacked);  // unpack pass
-  if (stats) stats->exchange_time += eng.now() - t_x;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_x);
+  note_exchange(stats, m, eng.now() - t_x);
   if (deferred) std::rethrow_exception(deferred);
 }
 

@@ -10,6 +10,12 @@
 // interconnect traffic for I/O calls wins because per-call software cost
 // and disk seeks dominate small scattered access.
 //
+// One engine serves every collective topology.  A per-call plan decides
+// who aggregates (every rank, the first `aggregators` ranks, or the group
+// leaders under kTwoLevel) and how an aggregator learns each rank's
+// pieces (a replicated extent table, or records shipped inline with the
+// data); the phases themselves are shared.
+//
 // This is a real implementation: with data-backed files and buffers it
 // moves actual bytes (tests check byte-exactness against direct access);
 // without them the same code paths run timing-only.
@@ -40,12 +46,12 @@ struct TwoPhaseOptions {
   /// aggregators concentrate the file traffic — useful when ranks far
   /// outnumber I/O nodes.
   ///
-  /// Ignored under a kTwoLevel collective topology: there the topology's
-  /// group LEADERS are the aggregators, the rank->aggregator data motion
-  /// rides the leader routing, and the replicated O(P) extent table is
-  /// replaced by a bounds allreduce plus inline sub-extent records — the
-  /// scale-out path (DESIGN.md §16).  Flat and kBruck topologies use the
-  /// classic path (whose alltoallv still routes by topology).
+  /// This picks the flat plan's aggregators, used under the kFlat and
+  /// kBruck topologies (whose alltoallv still routes by topology).  It is
+  /// ignored under kTwoLevel, whose plan makes the topology's group
+  /// LEADERS the aggregators: the rank->aggregator data motion rides the
+  /// leader routing, and the replicated O(P) extent table gives way to a
+  /// bounds allreduce plus inline sub-extent records (DESIGN.md §16).
   int aggregators = 0;
 
   /// Retry/backoff policy for the aggregators' file I/O (fault runs).

@@ -37,6 +37,8 @@ constexpr std::uint64_t kIoSlots = 2;
 /// Backfill reservations pad each job's ideal runtime by this margin
 /// (real schedulers' user estimates are padded, too).
 constexpr double kEstimateMargin = 1.5;
+/// A job whose restarts exceed this gives up (completed=false).
+constexpr int kMaxRestarts = 16;
 
 /// Per-job runtime state while it is queued/running.
 struct JobRt {
@@ -375,7 +377,7 @@ simkit::Task<void> job_body(State& st, JobRt& rt) {
       break;
     } catch (const pfs::IoError&) {
       rt.out.restarts += 1;
-      if (rt.out.restarts > st.opt.max_restarts) break;
+      if (rt.out.restarts > kMaxRestarts) break;
       need_recover = true;
     }
   }
@@ -450,19 +452,7 @@ PlatformReport run(hw::Machine& machine, pfs::StripedFs& fs,
   st.unfinished = static_cast<int>(st.rts.size());
   if (opt.retry.health && injector &&
       machine.config().io.server.durability.crash_semantics) {
-    // Crash/recovery edges feed the caller's health tracker directly:
-    // hedged reads learn a node died without observing a failed request,
-    // and steer clear of freshly rebooted (cold-cache) servers.  Gated
-    // on crash_semantics: without it a reboot leaves the cache warm, so
-    // there is no cold window for routing to avoid.  The listeners
-    // reference this run's engine and tracker — the injector must not
-    // be re-armed for another run (no caller does).
-    pario::HealthTracker* h = opt.retry.health;
-    simkit::Engine* e = &eng;
-    injector->on_node_crash(
-        [h, e](std::size_t n, bool) { h->note_crash(n, e->now()); });
-    injector->on_node_recovery(
-        [h, e](std::size_t n) { h->note_recovery(n, e->now()); });
+    pario::follow_crashes(*opt.retry.health, *injector, eng);
   }
   if (opt.coordination == Coordination::kOrderedSlots) {
     st.io_slots = std::make_unique<simkit::Resource>(eng, kIoSlots);

@@ -52,8 +52,6 @@ struct PlatformOptions {
   Coordination coordination = Coordination::kFreeForAll;
   /// Retry/backoff policy for all job I/O (step, checkpoint, restore).
   pario::RetryPolicy retry;
-  /// A job whose restarts exceed this gives up (completed=false).
-  int max_restarts = 16;
 };
 
 /// Everything measured about one job's life on the platform.

@@ -1,13 +1,15 @@
-// Tests for the hierarchical (aggregator-subset) two-phase path: under a
-// kTwoLevel collective topology the group leaders do the file I/O and the
-// replicated extent table is replaced by a bounds allreduce plus inline
-// sub-extent records.  Byte-equivalence against the flat path is the
-// contract (DESIGN.md §16).
+// Tests for the hierarchical two-phase plan: under a kTwoLevel collective
+// topology the group leaders do the file I/O and the replicated extent
+// table is replaced by a bounds allreduce plus inline sub-extent records.
+// Byte-equivalence against the flat plan is the contract (DESIGN.md §16).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
+#include "fault/injector.hpp"
+#include "fault/plan.hpp"
 #include "hw/machine.hpp"
 #include "mprt/collectives.hpp"
 #include "mprt/comm.hpp"
@@ -84,6 +86,127 @@ TEST(HierTwoPhase, WriteMatchesFlatByteForByte) {
                               << " seed=" << seed;
       }
     }
+  }
+}
+
+// Run a collective read of the scattered decomposition under `topo` from a
+// poked file image and return every rank's buffer.
+std::vector<std::vector<std::byte>> read_buffers(
+    mprt::CollectiveTopology topo, int p, const std::vector<std::byte>& image,
+    unsigned seed) {
+  const std::uint64_t nrecs = image.size() / kRec;
+  simkit::Engine eng;
+  hw::Machine machine(
+      eng, hw::MachineConfig::paragon_small(static_cast<std::size_t>(p), 2));
+  pfs::StripedFs fs(machine);
+  const pfs::FileId f = fs.create("hier_read", /*backed=*/true);
+  fs.poke(f, 0, image);
+  mprt::Cluster cluster(machine, p);
+  cluster.set_topology(topo);
+  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(p));
+  const std::function<simkit::Task<void>(mprt::Comm&)> body =
+      [&](mprt::Comm& c) -> simkit::Task<void> {
+    auto& back = out[static_cast<std::size_t>(c.rank())];
+    back.assign(my_bytes(c.rank(), p, nrecs, seed), std::byte{0xEE});
+    co_await TwoPhase::read(c, fs, f, scattered(c.rank(), p, nrecs, seed),
+                            back);
+  };
+  eng.spawn(cluster.run(body));
+  eng.run();
+  return out;
+}
+
+TEST(HierTwoPhase, ReadMatchesFlatByteForByte) {
+  std::vector<std::byte> image(64 * kRec);
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    image[i] = static_cast<std::byte>(i * 7 + i / 251);
+  }
+  for (int p : {3, 8}) {
+    for (unsigned seed : {1u, 9u}) {
+      const auto flat = read_buffers(
+          {mprt::CollectiveTopology::Kind::kFlat, 0}, p, image, seed);
+      // The flat read itself must be right, not merely consistent.
+      for (int r = 0; r < p; ++r) {
+        std::vector<std::byte> want;
+        for (const auto& e : scattered(r, p, 64, seed)) {
+          want.insert(want.end(), image.begin() + e.file_offset,
+                      image.begin() + e.file_end());
+        }
+        EXPECT_EQ(flat[static_cast<std::size_t>(r)], want)
+            << "p=" << p << " rank=" << r << " seed=" << seed;
+      }
+      for (int width : {0, 2, p}) {
+        const auto hier = read_buffers(
+            {mprt::CollectiveTopology::Kind::kTwoLevel, width}, p, image,
+            seed);
+        EXPECT_EQ(hier, flat) << "p=" << p << " width=" << width
+                              << " seed=" << seed;
+      }
+    }
+  }
+}
+
+// The hierarchical twin of TwoPhase.FailedRetriedReadLeavesLaterRunsValid:
+// a leader whose retry ladder runs dry abandons its remaining runs, yet
+// still serves the reply round from valid (zero-filled) run buffers, and
+// rethrows only after every rank has its reply.
+TEST(HierTwoPhase, FailedRetriedReadLeavesLaterRunsValid) {
+  const int p = 4;
+  fault::InjectionPlan plan;
+  plan.crash_node(0, 0.0, 1e6);  // both servers down: every leader's
+  plan.crash_node(1, 0.0, 1e6);  // first run fails, later runs stay unread
+  fault::Injector inj(plan);
+  simkit::Engine eng;
+  hw::Machine machine(eng, hw::MachineConfig::paragon_small(4, 2));
+  pfs::StripedFs fs(machine, &inj);
+  const pfs::FileId f = fs.create("doomed", /*backed=*/true);
+  std::vector<std::byte> content(256 * 1024, std::byte{0x5A});
+  fs.poke(f, 0, content);
+  mprt::Cluster cluster(machine, p);
+  cluster.set_topology({mprt::CollectiveTopology::Kind::kTwoLevel, 2});
+
+  RetryPolicy policy;
+  policy.max_attempts = 2;
+  RetryStats stats;
+  TwoPhaseOptions opt;
+  opt.retry = &policy;
+  opt.retry_stats = &stats;
+
+  std::vector<bool> threw(p, false);
+  std::vector<std::vector<std::byte>> back(
+      p, std::vector<std::byte>(32 * 512, std::byte{0xEE}));
+  int done = 0;
+  const std::function<simkit::Task<void>(mprt::Comm&)> body =
+      [&](mprt::Comm& c) -> simkit::Task<void> {
+    const int r = c.rank();
+    // 512-byte records on a 2 KB stride over 256 KB: each leader's
+    // 128 KB domain holds 64 runs merge_runs cannot coalesce.
+    std::vector<Extent> mine;
+    for (std::uint64_t i = 0; i < 32; ++i) {
+      mine.push_back(Extent{(i * p + static_cast<std::uint64_t>(r)) * 2048,
+                            512, i * 512});
+    }
+    try {
+      co_await TwoPhase::read(c, fs, f, mine,
+                              back[static_cast<std::size_t>(r)], nullptr,
+                              opt);
+    } catch (const pfs::IoError&) {
+      threw[static_cast<std::size_t>(r)] = true;
+    }
+    ++done;
+  };
+  eng.spawn(cluster.run(body));
+  eng.run();
+  EXPECT_EQ(done, p) << "every rank must finish the reply round";
+  // Leaders 0 and 2 own the two domains and see the error; members only
+  // exchange, so they complete normally.
+  EXPECT_EQ(threw, (std::vector<bool>{true, false, true, false}));
+  EXPECT_GT(stats.exhausted, 0u);
+  for (int r = 0; r < p; ++r) {
+    const auto& b = back[static_cast<std::size_t>(r)];
+    EXPECT_TRUE(std::all_of(b.begin(), b.end(),
+                            [](std::byte x) { return x == std::byte{0}; }))
+        << "rank " << r << " must receive the zero-filled runs";
   }
 }
 
