@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "hw/machine.hpp"
 #include "mprt/comm.hpp"
@@ -50,8 +49,6 @@ double run_with_aggregators(int procs, int aggregators) {
 }
 
 void run(scenario::Context& ctx) {
-  const expt::Options& opt = ctx.opt();
-
   constexpr int kProcs = 36;
   const int agg_counts[] = {1, 2, 4, 8, 16, 36};
   const std::vector<double> times =
@@ -71,19 +68,12 @@ void run(scenario::Context& ctx) {
   }
   ctx.printf("Ablation: collective-buffering aggregator count, %d procs "
              "on the 4-I/O-node SP-2\n%s\n",
-             kProcs, (opt.csv ? table.csv() : table.str()).c_str());
+             kProcs, ctx.table(table).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    ctx.expect(best <= all_ranks * 1.05,
-               "a tuned aggregator count is at least as good as all-ranks");
-    ctx.expect(all_ranks / best < 4.0,
-               "and the penalty for the naive choice stays bounded");
-  }
+  ctx.expect(best <= all_ranks * 1.05,
+             "a tuned aggregator count is at least as good as all-ranks");
+  ctx.expect(all_ranks / best < 4.0,
+             "and the penalty for the naive choice stays bounded");
 }
 
 const scenario::Registration reg{{

@@ -6,7 +6,6 @@
 // the paper complains about.
 #include <cstdio>
 
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "hw/machine.hpp"
 #include "mprt/comm.hpp"
@@ -35,8 +34,6 @@ double run_mode(pfs::IoMode mode, int procs, int records,
 }
 
 void run(scenario::Context& ctx) {
-  const expt::Options& opt = ctx.opt();
-
   constexpr int kProcs = 8;
   constexpr int kRecords = 32;
   constexpr std::uint64_t kRecordSize = 64 * 1024;
@@ -71,19 +68,12 @@ void run(scenario::Context& ctx) {
              "to one shared file\n%s\n",
              kProcs, kRecords,
              static_cast<unsigned long long>(kRecordSize / 1024),
-             (opt.csv ? table.csv() : table.str()).c_str());
+             ctx.table(table).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    ctx.expect(t_record < t_log,
-               "M_RECORD (no coordination) beats M_LOG (token traffic)");
-    ctx.expect(t_sync >= t_log * 0.9,
-               "M_SYNC (strict order) is at least as serial as M_LOG");
-  }
+  ctx.expect(t_record < t_log,
+             "M_RECORD (no coordination) beats M_LOG (token traffic)");
+  ctx.expect(t_sync >= t_log * 0.9,
+             "M_SYNC (strict order) is at least as serial as M_LOG");
 }
 
 const scenario::Registration reg{{

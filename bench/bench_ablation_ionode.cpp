@@ -7,7 +7,6 @@
 // overhead only); cache size controls how much of the re-reads hit.
 #include <cstdio>
 
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "hw/machine.hpp"
 #include "pfs/fs.hpp"
@@ -54,8 +53,6 @@ Result run_one(std::uint64_t cache_bytes, bool write_behind) {
 }
 
 void run(scenario::Context& ctx) {
-  const expt::Options& opt = ctx.opt();
-
   const std::uint64_t mbs[] = {1, 4, 16};
   const std::vector<Result> results =
       ctx.map<Result>(std::size(mbs) * 2, [&](std::size_t i) {
@@ -82,22 +79,15 @@ void run(scenario::Context& ctx) {
   ctx.printf(
       "Ablation: I/O-node cache and write-behind (strided write + "
       "re-read)\n%s\n",
-      (opt.csv ? table.csv() : table.str()).c_str());
+      ctx.table(table).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    // Write-behind defers disk work but flush() must still pay it, so the
-    // comparison is about overlap: buffered writes + flush should not be
-    // slower than synchronous writes.
-    ctx.expect(wb_write <= sync_write * 1.05,
-               "write-behind never loses to synchronous writes");
-    ctx.expect(big_reread < small_reread,
-               "larger caches absorb the re-read passes");
-  }
+  // Write-behind defers disk work but flush() must still pay it, so the
+  // comparison is about overlap: buffered writes + flush should not be
+  // slower than synchronous writes.
+  ctx.expect(wb_write <= sync_write * 1.05,
+             "write-behind never loses to synchronous writes");
+  ctx.expect(big_reread < small_reread,
+             "larger caches absorb the re-read passes");
 }
 
 const scenario::Registration reg{{

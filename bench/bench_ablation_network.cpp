@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "hw/machine.hpp"
 #include "mprt/collectives.hpp"
@@ -39,8 +38,6 @@ double run_exchange(double hop_us, double bw_mb) {
 }
 
 void run(scenario::Context& ctx) {
-  const expt::Options& opt = ctx.opt();
-
   struct Point {
     double hop_us;
     double bw_mb;
@@ -63,21 +60,14 @@ void run(scenario::Context& ctx) {
   table.add_row({"0.6", "17.5", expt::fmt("%.4f", slow_nic)});
   ctx.printf("Ablation: exchange-phase sensitivity to network "
              "parameters\n%s\n",
-             (opt.csv ? table.csv() : table.str()).c_str());
+             ctx.table(table).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    ctx.expect(std::abs(no_hops - base) / base < 0.05,
-               "hop latency is a <5% effect at preset values");
-    ctx.expect(slow_nic > 3.0 * base,
-               "NIC bandwidth is a first-order effect (4x slower link)");
-    ctx.expect(slow_hops < 1.5 * base,
-               "even 10x hop latency stays a second-order effect");
-  }
+  ctx.expect(std::abs(no_hops - base) / base < 0.05,
+             "hop latency is a <5% effect at preset values");
+  ctx.expect(slow_nic > 3.0 * base,
+             "NIC bandwidth is a first-order effect (4x slower link)");
+  ctx.expect(slow_hops < 1.5 * base,
+             "even 10x hop latency stays a second-order effect");
 }
 
 const scenario::Registration reg{{

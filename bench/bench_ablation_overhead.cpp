@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "hw/machine.hpp"
 #include "mprt/comm.hpp"
@@ -57,8 +56,6 @@ Result run_pattern(double client_ms, double server_ms) {
 }
 
 void run(scenario::Context& ctx) {
-  const expt::Options& opt = ctx.opt();
-
   // The scattered pattern has a disk-seek floor (~6.5 s here); per-call
   // software costs surface once they cross it — exactly the regime split
   // between Figure 2's small-P and large-P behavior.
@@ -88,22 +85,14 @@ void run(scenario::Context& ctx) {
     }
   }
   ctx.printf("Ablation: per-call overhead vs I/O time (BTIO pattern)\n%s\n",
-             (opt.csv ? table.csv() : table.str()).c_str());
+             ctx.table(table).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    const double scattered_growth = scattered.back() / scattered.front();
-    const double bulk_growth = bulk_spread_max / bulk_spread_min;
-    ctx.expect(scattered_growth > 1.8,
-               "past the disk floor, scattered I/O tracks per-call cost");
-    ctx.expect(scattered_growth > 2.0 * bulk_growth ||
-                   bulk_spread_max < 0.5,
-               "bulk I/O is far less sensitive to per-call cost");
-  }
+  const double scattered_growth = scattered.back() / scattered.front();
+  const double bulk_growth = bulk_spread_max / bulk_spread_min;
+  ctx.expect(scattered_growth > 1.8,
+             "past the disk floor, scattered I/O tracks per-call cost");
+  ctx.expect(scattered_growth > 2.0 * bulk_growth || bulk_spread_max < 0.5,
+             "bulk I/O is far less sensitive to per-call cost");
 }
 
 const scenario::Registration reg{{

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "hw/machine.hpp"
 #include "mprt/collectives.hpp"
@@ -43,8 +42,6 @@ double run_btio_pattern(bool scan, int procs) {
 }
 
 void run(scenario::Context& ctx) {
-  const expt::Options& opt = ctx.opt();
-
   const int procs[] = {4, 16, 64};
   struct Point {
     double fifo;
@@ -68,17 +65,10 @@ void run(scenario::Context& ctx) {
   }
   ctx.printf("Ablation: disk scheduling under BTIO's scattered writes "
              "(one Class-A dump)\n%s\n",
-             (opt.csv ? table.csv() : table.str()).c_str());
+             ctx.table(table).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    ctx.expect(worst_gain >= 0.95,
-               "SCAN never loses to FIFO on scattered access");
-  }
+  ctx.expect(worst_gain >= 0.95,
+             "SCAN never loses to FIFO on scattered access");
 }
 
 const scenario::Registration reg{{

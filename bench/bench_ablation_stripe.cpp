@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "hw/machine.hpp"
 #include "mprt/comm.hpp"
@@ -60,8 +59,6 @@ Result run_su(std::uint64_t su_kb) {
 }
 
 void run(scenario::Context& ctx) {
-  const expt::Options& opt = ctx.opt();
-
   const std::uint64_t sus[] = {16, 32, 64, 128, 256};
   const std::vector<Result> results = ctx.map<Result>(
       std::size(sus), [&](std::size_t i) { return run_su(sus[i]); });
@@ -80,20 +77,13 @@ void run(scenario::Context& ctx) {
                    expt::fmt("%.2f", r.chunked)});
   }
   ctx.printf("Ablation: PFS stripe unit size, 12 I/O nodes\n%s\n",
-             (opt.csv ? table.csv() : table.str()).c_str());
+             ctx.table(table).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    ctx.expect(seq16 > 0 && seq256 > 0, "sweep ran");
-    // The paper's implicit finding: Su is a second-order knob (configs
-    // VI/VII differ mildly from IV/V) — no setting should be ruinous.
-    ctx.expect(chunk_max < 3.0 * chunk64,
-               "stripe unit is a second-order factor for 64 KB chunks");
-  }
+  ctx.expect(seq16 > 0 && seq256 > 0, "sweep ran");
+  // The paper's implicit finding: Su is a second-order knob (configs
+  // VI/VII differ mildly from IV/V) — no setting should be ruinous.
+  ctx.expect(chunk_max < 3.0 * chunk64,
+             "stripe unit is a second-order factor for 64 KB chunks");
 }
 
 const scenario::Registration reg{{

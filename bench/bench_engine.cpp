@@ -188,26 +188,22 @@ void run(scenario::Context& ctx) {
   }
   ctx.printf("Engine self-benchmark (host time; simulated workloads are "
              "fixed per scale)\n%s\n",
-             (opt.csv ? table.csv() : table.str()).c_str());
+             ctx.table(table).c_str());
   ctx.printf("clamped past-time schedules: %llu (expect 0)\n",
              static_cast<unsigned long long>(clamped));
 
-  ctx.finish_metrics();
-
-  if (opt.check) {
-    for (std::size_t i = 0; i < std::size(kWorkloads); ++i) {
-      ctx.expect(results[i].events > 0 && results[i].events_per_s() > 0.0,
-                 std::string(kWorkloads[i].name) +
-                     " processed events at a nonzero rate");
-    }
-    // The engine exists to push through millions of events per host
-    // second; 50k/s would mean something is catastrophically wrong.
-    ctx.expect(results[0].events_per_s() > 5e4,
-               "timer-wheel throughput clears the sanity floor");
-    // No workload schedules into the past; a nonzero count means an
-    // engine consumer is relying on silent clamping (reordering risk).
-    ctx.expect(clamped == 0, "no past-time schedules were clamped");
+  for (std::size_t i = 0; i < std::size(kWorkloads); ++i) {
+    ctx.expect(results[i].events > 0 && results[i].events_per_s() > 0.0,
+               std::string(kWorkloads[i].name) +
+                   " processed events at a nonzero rate");
   }
+  // The engine exists to push through millions of events per host
+  // second; 50k/s would mean something is catastrophically wrong.
+  ctx.expect(results[0].events_per_s() > 5e4,
+             "timer-wheel throughput clears the sanity floor");
+  // No workload schedules into the past; a nonzero count means an
+  // engine consumer is relying on silent clamping (reordering risk).
+  ctx.expect(clamped == 0, "no past-time schedules were clamped");
 }
 
 const scenario::Registration reg{{

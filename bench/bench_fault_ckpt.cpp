@@ -22,7 +22,6 @@
 
 #include "ckpt/ckpt.hpp"
 #include "ckpt/workloads.hpp"
-#include "exp/report.hpp"
 #include "exp/resilience.hpp"
 #include "exp/table.hpp"
 #include "fault/plan.hpp"
@@ -120,15 +119,14 @@ void run(scenario::Context& ctx) {
              "poisson crashes MTBF=%.0fs outage=%.0fs%s\n%s\n",
              kIoNodes, kMtbf, kOutage,
              policy_given ? (", policy=" + pol.name()).c_str() : "",
-             (opt.csv ? table.csv() : table.str()).c_str());
+             ctx.table(table).c_str());
   ctx.printf("Best interval: %s\n%s\n",
              intervals[static_cast<std::size_t>(best)] == 0
                  ? "never"
                  : expt::fmt_u64(intervals[static_cast<std::size_t>(best)])
                        .c_str(),
              expt::resilience_report(reps[static_cast<std::size_t>(best)],
-                                     nullptr,
-                                     opt.metrics ? &ctx.registry() : nullptr)
+                                     nullptr)
                  .c_str());
 
   // Young/Daly analytical optimum from measured per-checkpoint cost (the
@@ -189,57 +187,51 @@ void run(scenario::Context& ctx) {
                             static_cast<double>(r.ckpt_bytes) / 1e6)});
     }
     ctx.printf("Policy comparison at Young/Daly interval (%d steps):\n%s\n",
-               yd_steps, (opt.csv ? pt.csv() : pt.str()).c_str());
+               yd_steps, ctx.table(pt).c_str());
   }
 
-  ctx.finish_metrics();
-
-  if (opt.check) {
-    bool all_done = true;
-    for (const auto& r : reps) all_done = all_done && r.completed;
-    ctx.expect(all_done, "every configuration runs to completion");
-    if (!policy_given || pol.is_sync_full()) {
-      // The interior-minimum shape is a property of *blocking* full
-      // checkpoints; async/incremental flatten the checkpoint-cost side
-      // of the tradeoff, so these sweep shapes only bind for sync_full.
-      ctx.expect(intervals[static_cast<std::size_t>(best)] != 0,
-                 "checkpointing beats never checkpointing under crashes");
-      ctx.expect(static_cast<std::size_t>(best) != 0,
-                 "an interior interval beats checkpointing every step");
-      ctx.expect(never.lost_work >
-                     reps[static_cast<std::size_t>(best)].lost_work,
-                 "longer intervals lose more work per crash");
-      // The swept minimum should land within one grid notch of the
-      // analytical optimum (the interval grid is 2x-spaced, so a factor-3
-      // band around Young/Daly covers exactly the neighbouring notches).
-      const double best_steps =
-          static_cast<double>(intervals[static_cast<std::size_t>(best)]);
-      ctx.expect(opt_steps > 0.0 && best_steps > opt_steps / 3.0 &&
-                     best_steps < opt_steps * 3.0,
-                 "swept best interval (" + expt::fmt("%.0f", best_steps) +
-                     " steps) within one grid notch of Young/Daly (" +
-                     expt::fmt("%.1f", opt_steps) + " steps)");
-    }
-    if (policy_given) {
-      const ckpt::Report& sf = cmp[0];
-      const ckpt::Report& si = cmp[1];
-      const ckpt::Report& af = cmp[2];
-      const ckpt::Report& ai = cmp[3];
-      bool cmp_done = true;
-      for (const auto& r : cmp) cmp_done = cmp_done && r.completed;
-      ctx.expect(cmp_done, "every policy completes at the Y/D interval");
-      ctx.expect(total_overhead(ai) < total_overhead(sf),
-                 "async_incr total overhead (" +
-                     expt::fmt_s(total_overhead(ai)) +
-                     " s) beats sync_full (" +
-                     expt::fmt_s(total_overhead(sf)) + " s)");
-      ctx.expect(si.ckpt_bytes < sf.ckpt_bytes &&
-                     ai.ckpt_bytes < af.ckpt_bytes,
-                 "incremental writes fewer checkpoint bytes than full");
-      ctx.expect(af.ckpt_overhead < sf.ckpt_overhead &&
-                     ai.ckpt_overhead < si.ckpt_overhead,
-                 "async blocks ranks for less time than sync");
-    }
+  bool all_done = true;
+  for (const auto& r : reps) all_done = all_done && r.completed;
+  ctx.expect(all_done, "every configuration runs to completion");
+  if (!policy_given || pol.is_sync_full()) {
+    // The interior-minimum shape is a property of *blocking* full
+    // checkpoints; async/incremental flatten the checkpoint-cost side
+    // of the tradeoff, so these sweep shapes only bind for sync_full.
+    ctx.expect(intervals[static_cast<std::size_t>(best)] != 0,
+               "checkpointing beats never checkpointing under crashes");
+    ctx.expect(static_cast<std::size_t>(best) != 0,
+               "an interior interval beats checkpointing every step");
+    ctx.expect(never.lost_work > reps[static_cast<std::size_t>(best)].lost_work,
+               "longer intervals lose more work per crash");
+    // The swept minimum should land within one grid notch of the
+    // analytical optimum (the interval grid is 2x-spaced, so a factor-3
+    // band around Young/Daly covers exactly the neighbouring notches).
+    const double best_steps =
+        static_cast<double>(intervals[static_cast<std::size_t>(best)]);
+    ctx.expect(opt_steps > 0.0 && best_steps > opt_steps / 3.0 &&
+                   best_steps < opt_steps * 3.0,
+               "swept best interval (" + expt::fmt("%.0f", best_steps) +
+                   " steps) within one grid notch of Young/Daly (" +
+                   expt::fmt("%.1f", opt_steps) + " steps)");
+  }
+  if (policy_given) {
+    const ckpt::Report& sf = cmp[0];
+    const ckpt::Report& si = cmp[1];
+    const ckpt::Report& af = cmp[2];
+    const ckpt::Report& ai = cmp[3];
+    bool cmp_done = true;
+    for (const auto& r : cmp) cmp_done = cmp_done && r.completed;
+    ctx.expect(cmp_done, "every policy completes at the Y/D interval");
+    ctx.expect(total_overhead(ai) < total_overhead(sf),
+               "async_incr total overhead (" +
+                   expt::fmt_s(total_overhead(ai)) +
+                   " s) beats sync_full (" +
+                   expt::fmt_s(total_overhead(sf)) + " s)");
+    ctx.expect(si.ckpt_bytes < sf.ckpt_bytes && ai.ckpt_bytes < af.ckpt_bytes,
+               "incremental writes fewer checkpoint bytes than full");
+    ctx.expect(af.ckpt_overhead < sf.ckpt_overhead &&
+                   ai.ckpt_overhead < si.ckpt_overhead,
+               "async blocks ranks for less time than sync");
   }
 }
 

@@ -144,38 +144,33 @@ void run(scenario::Context& ctx) {
       "in %zu racks), MTBF=%.0fs outage=%.0fs corr=%.0f%% seed=%llu, "
       "Markov disk arms\n%s\n",
       kIoNodes, kIoNodes / kFanIn, kMtbf, kOutage, 100.0 * kFraction,
-      static_cast<unsigned long long>(opt.seed),
-      (opt.csv ? table.csv() : table.str()).c_str());
+      static_cast<unsigned long long>(opt.seed), ctx.table(table).c_str());
   ctx.printf("Domain-aware + health-aware run under correlated bursts:\n%s\n",
              points.back().detail.c_str());
 
-  ctx.finish_metrics();
-
-  if (opt.check) {
-    const ckpt::Report& indep = points[0].rep;
-    const ckpt::Report& naive = points[1].rep;
-    const ckpt::Report& aware = points[2].rep;
-    bool all_done = true;
-    for (const auto& p : points) all_done = all_done && p.rep.completed;
-    ctx.expect(all_done, "every configuration runs to completion");
-    bool verified = true;
-    for (const auto& p : points) {
-      verified = verified && p.rep.state_verified;
-    }
-    ctx.expect(verified, "every restore returned the committed bytes");
-    ctx.expect(naive.lost_checkpoints >= 1,
-               "same-domain placement loses committed checkpoints to rack "
-               "bursts (" + expt::fmt_u64(naive.lost_checkpoints) + ")");
-    ctx.expect(aware.lost_checkpoints == 0,
-               "domain-aware placement + health-aware recovery loses none");
-    ctx.expect(indep.lost_checkpoints == 0,
-               "independent clean crashes never scrub a copy");
-    ctx.expect(total_overhead(aware) <= 1.15 * total_overhead(indep),
-               "adaptation keeps correlated-fault overhead (" +
-                   expt::fmt_s(total_overhead(aware)) +
-                   " s) within 15% of the independent baseline (" +
-                   expt::fmt_s(total_overhead(indep)) + " s)");
+  const ckpt::Report& indep = points[0].rep;
+  const ckpt::Report& naive = points[1].rep;
+  const ckpt::Report& aware = points[2].rep;
+  bool all_done = true;
+  for (const auto& p : points) all_done = all_done && p.rep.completed;
+  ctx.expect(all_done, "every configuration runs to completion");
+  bool verified = true;
+  for (const auto& p : points) {
+    verified = verified && p.rep.state_verified;
   }
+  ctx.expect(verified, "every restore returned the committed bytes");
+  ctx.expect(naive.lost_checkpoints >= 1,
+             "same-domain placement loses committed checkpoints to rack "
+             "bursts (" + expt::fmt_u64(naive.lost_checkpoints) + ")");
+  ctx.expect(aware.lost_checkpoints == 0,
+             "domain-aware placement + health-aware recovery loses none");
+  ctx.expect(indep.lost_checkpoints == 0,
+             "independent clean crashes never scrub a copy");
+  ctx.expect(total_overhead(aware) <= 1.15 * total_overhead(indep),
+             "adaptation keeps correlated-fault overhead (" +
+                 expt::fmt_s(total_overhead(aware)) +
+                 " s) within 15% of the independent baseline (" +
+                 expt::fmt_s(total_overhead(indep)) + " s)");
 }
 
 const scenario::Registration reg{{

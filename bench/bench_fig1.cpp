@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "apps/scf.hpp"
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "scenario/scenario.hpp"
 
@@ -94,22 +93,15 @@ void run(scenario::Context& ctx) {
       }
     }
     ctx.printf("Figure 1 (%s, N=%d): impact of optimizations\n%s\n",
-               input.name, input.n_basis,
-               (opt.csv ? table.csv() : table.str()).c_str());
-    if (opt.check) {
-      ctx.expect(exec_III < exec_I,
-                 std::string(input.name) +
-                     ": software path I->III improves execution");
-      // Application-related factors (interface, prefetch) buy more than
-      // the system-related Su/Sf changes within the F configurations.
-      ctx.expect((exec_I - exec_III) > 2.0 * std::abs(exec_IV - exec_VII),
-                 std::string(input.name) +
-                     ": software factors dominate system factors");
-    }
-  }
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
+               input.name, input.n_basis, ctx.table(table).c_str());
+    ctx.expect(exec_III < exec_I,
+               std::string(input.name) +
+                   ": software path I->III improves execution");
+    // Application-related factors (interface, prefetch) buy more than
+    // the system-related Su/Sf changes within the F configurations.
+    ctx.expect((exec_I - exec_III) > 2.0 * std::abs(exec_IV - exec_VII),
+               std::string(input.name) +
+                   ": software factors dominate system factors");
   }
 }
 

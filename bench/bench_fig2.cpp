@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "apps/scf.hpp"
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "scenario/scenario.hpp"
 
@@ -63,36 +62,29 @@ void run(scenario::Context& ctx) {
          expt::fmt_s(direct.back())});
   }
   ctx.printf("Figure 2: SCF 1.1 LARGE, execution time vs processors\n%s\n",
-             (opt.csv ? table.csv() : table.str()).c_str());
+             ctx.table(table).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
+  // Small P: software optimization beats extra hardware.
+  ctx.expect(o16.front() < u16.front(),
+             "at 4 procs the optimized/16-I/O version beats unopt/16");
+  ctx.expect(o16.front() < u64v.front(),
+             "at 4 procs software beats the 64-I/O unoptimized version");
+  // Large P: hardware balance wins — unopt/64 overtakes opt/16.
+  const std::size_t last = procs.size() - 1;
+  ctx.expect(u64v[last] < o16[last],
+             "at 256 procs unopt/64-I/O beats opt/16-I/O (crossover)");
+  // There is a crossover point somewhere in the sweep.
+  bool crossed = false;
+  for (std::size_t i = 0; i + 1 < procs.size(); ++i) {
+    if (o16[i] <= u64v[i] && u64v[i + 1] < o16[i + 1]) crossed = true;
   }
-
-  if (opt.check) {
-    // Small P: software optimization beats extra hardware.
-    ctx.expect(o16.front() < u16.front(),
-               "at 4 procs the optimized/16-I/O version beats unopt/16");
-    ctx.expect(o16.front() < u64v.front(),
-               "at 4 procs software beats the 64-I/O unoptimized version");
-    // Large P: hardware balance wins — unopt/64 overtakes opt/16.
-    const std::size_t last = procs.size() - 1;
-    ctx.expect(u64v[last] < o16[last],
-               "at 256 procs unopt/64-I/O beats opt/16-I/O (crossover)");
-    // There is a crossover point somewhere in the sweep.
-    bool crossed = false;
-    for (std::size_t i = 0; i + 1 < procs.size(); ++i) {
-      if (o16[i] <= u64v[i] && u64v[i + 1] < o16[i + 1]) crossed = true;
-    }
-    ctx.expect(crossed, "crossover exists within the processor sweep");
-    // The paper's user behaviour: disk-based wins at small P, the
-    // recompute ("direct") version wins on a starved partition at large P.
-    ctx.expect(o16.front() < direct.front(),
-               "disk-based beats recompute at 4 procs");
-    ctx.expect(direct[last] < o16[last],
-               "recompute beats disk-based/16-I/O at 256 procs");
-  }
+  ctx.expect(crossed, "crossover exists within the processor sweep");
+  // The paper's user behaviour: disk-based wins at small P, the
+  // recompute ("direct") version wins on a starved partition at large P.
+  ctx.expect(o16.front() < direct.front(),
+             "disk-based beats recompute at 4 procs");
+  ctx.expect(direct[last] < o16[last],
+             "recompute beats disk-based/16-I/O at 256 procs");
 }
 
 const scenario::Registration reg{{

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "apps/scf.hpp"
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "scenario/scenario.hpp"
 
@@ -56,21 +55,13 @@ void run(scenario::Context& ctx) {
     io_table.add_row(io_row);
   }
   ctx.printf("Figure 3a: SCF 1.1 LARGE execution time (s)\n%s\n",
-             (opt.csv ? exec_table.csv() : exec_table.str()).c_str());
+             ctx.table(exec_table).c_str());
   ctx.printf("Figure 3b: SCF 1.1 LARGE per-process I/O time (s)\n%s\n",
-             (opt.csv ? io_table.csv() : io_table.str()).c_str());
+             ctx.table(io_table).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    ctx.expect(gain.back() > 1.3,
-               "at 256 procs, 64 I/O nodes clearly beat 12");
-    ctx.expect(gain.back() > gain.front(),
-               "the I/O-node benefit grows with processor count");
-  }
+  ctx.expect(gain.back() > 1.3, "at 256 procs, 64 I/O nodes clearly beat 12");
+  ctx.expect(gain.back() > gain.front(),
+             "the I/O-node benefit grows with processor count");
 }
 
 const scenario::Registration reg{{

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "apps/scf3.hpp"
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "scenario/scenario.hpp"
 
@@ -63,31 +62,23 @@ void run(scenario::Context& ctx) {
     }
     ctx.printf(
         "Figure 4%s: SCF 3.0 MEDIUM execution time (s), %zu I/O nodes\n%s\n",
-        io == 16 ? "a" : "b", io,
-        (opt.csv ? table.csv() : table.str()).c_str());
+        io == 16 ? "a" : "b", io, ctx.table(table).c_str());
   }
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    ctx.expect(exec_0_32 / exec_0_256 > 3.0,
-               "full recompute (0%) scales strongly with processors");
-    ctx.expect(exec_100_32 / exec_100_256 < 2.0,
-               "full disk (100%) is insensitive to processors");
-    ctx.expect(exec_100_32 < exec_0_32,
-               "caching beats recomputation on this platform (paper §4.3)");
-    // The paper states this for its 64-I/O-node runs; in our model the
-    // 64-node partition's caches absorb the MEDIUM working set, so the
-    // read-gated regime appears on the 16-node partition instead (see
-    // EXPERIMENTS.md).
-    ctx.expect(exec_90_32_io64 / exec_90_256_io64 < 2.0,
-               "~90% cached: 32 -> 256 procs gives no big gain (paper)");
-    ctx.expect(exec_16io_sum / exec_64io_sum < 2.0,
-               "I/O-node factor stays below the >3x swings of cached%/procs");
-  }
+  ctx.expect(exec_0_32 / exec_0_256 > 3.0,
+             "full recompute (0%) scales strongly with processors");
+  ctx.expect(exec_100_32 / exec_100_256 < 2.0,
+             "full disk (100%) is insensitive to processors");
+  ctx.expect(exec_100_32 < exec_0_32,
+             "caching beats recomputation on this platform (paper §4.3)");
+  // The paper states this for its 64-I/O-node runs; in our model the
+  // 64-node partition's caches absorb the MEDIUM working set, so the
+  // read-gated regime appears on the 16-node partition instead (see
+  // EXPERIMENTS.md).
+  ctx.expect(exec_90_32_io64 / exec_90_256_io64 < 2.0,
+             "~90% cached: 32 -> 256 procs gives no big gain (paper)");
+  ctx.expect(exec_16io_sum / exec_64io_sum < 2.0,
+             "I/O-node factor stays below the >3x swings of cached%/procs");
 }
 
 const scenario::Registration reg{{

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "apps/fft_app.hpp"
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "scenario/scenario.hpp"
 
@@ -69,27 +68,19 @@ void run(scenario::Context& ctx) {
              "total I/O)\n%s\n",
              static_cast<unsigned long long>(n),
              6.0 * static_cast<double>(n) * n * 16 / 1e9,
-             (opt.csv ? io_table.csv() : io_table.str()).c_str());
+             ctx.table(io_table).c_str());
   ctx.printf("Figure 5b: FFT total execution time (s)\n%s\n",
-             (opt.csv ? total_table.csv() : total_table.str()).c_str());
+             ctx.table(total_table).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
+  ctx.expect(u2_io.back() > u2_io[2],
+             "orig/2io I/O time increases past 4 compute nodes");
+  bool opt_wins_everywhere = true;
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    opt_wins_everywhere = opt_wins_everywhere && o2_total[i] < u4_total[i];
   }
-
-  if (opt.check) {
-    ctx.expect(u2_io.back() > u2_io[2],
-               "orig/2io I/O time increases past 4 compute nodes");
-    bool opt_wins_everywhere = true;
-    for (std::size_t i = 0; i < procs.size(); ++i) {
-      opt_wins_everywhere = opt_wins_everywhere &&
-                            o2_total[i] < u4_total[i];
-    }
-    ctx.expect(opt_wins_everywhere,
-               "opt on 2 I/O nodes beats orig on 4 for all proc counts");
-    ctx.expect(u2_frac[2] > 0.8, "I/O dominates execution (paper: 90-95%)");
-  }
+  ctx.expect(opt_wins_everywhere,
+             "opt on 2 I/O nodes beats orig on 4 for all proc counts");
+  ctx.expect(u2_frac[2] > 0.8, "I/O dominates execution (paper: 90-95%)");
 }
 
 const scenario::Registration reg{{

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "apps/btio.hpp"
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "scenario/scenario.hpp"
 
@@ -46,26 +45,17 @@ void run(scenario::Context& ctx) {
          expt::fmt("%.0f%%", 100.0 * (1.0 - o.exec_time / u.exec_time))});
   }
   ctx.printf("Figure 6: BTIO Class A (%.1f MB total I/O), SP-2\n%s\n",
-             opt.scale * 419.4, (opt.csv ? table.csv() : table.str()).c_str());
+             opt.scale * 419.4, ctx.table(table).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    const std::size_t i36 = 5;  // index of 36 procs
-    ctx.expect(o_total[i36] < u_total[i36],
-               "collective I/O wins at 36 procs");
-    const double red36 = 1.0 - o_total[i36] / u_total[i36];
-    ctx.expect(red36 > 0.25 && red36 < 0.70,
-               "total-time reduction at 36 procs near the paper's 46%");
-    // The unoptimized version's I/O time does not improve the way compute
-    // does: its share of total grows with P (the hump's cause).
-    ctx.expect(u_io.back() / u_total.back() >
-                   u_io.front() / u_total.front(),
-               "unopt I/O share grows with processor count");
-  }
+  const std::size_t i36 = 5;  // index of 36 procs
+  ctx.expect(o_total[i36] < u_total[i36], "collective I/O wins at 36 procs");
+  const double red36 = 1.0 - o_total[i36] / u_total[i36];
+  ctx.expect(red36 > 0.25 && red36 < 0.70,
+             "total-time reduction at 36 procs near the paper's 46%");
+  // The unoptimized version's I/O time does not improve the way compute
+  // does: its share of total grows with P (the hump's cause).
+  ctx.expect(u_io.back() / u_total.back() > u_io.front() / u_total.front(),
+             "unopt I/O share grows with processor count");
 }
 
 const scenario::Registration reg{{

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "apps/btio.hpp"
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "scenario/scenario.hpp"
 
@@ -49,24 +48,16 @@ void run(scenario::Context& ctx) {
            expt::fmt_mb(pt.orig_bw), expt::fmt_mb(pt.opt_bw)});
     }
     ctx.printf("Figure 7 (Class %c): BTIO I/O bandwidth on the SP-2\n%s\n",
-               classes[ci], (opt.csv ? table.csv() : table.str()).c_str());
+               classes[ci], ctx.table(table).c_str());
   }
   ctx.printf("original: %.2f-%.2f MB/s (paper 0.97-1.5);  optimized: "
              "%.2f-%.2f MB/s (paper 6.6-31.4)\n",
              orig_min, orig_max, opt_min, opt_max);
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    ctx.expect(opt_min > 3.0 * orig_max,
-               "optimized bandwidth clearly separated from original");
-    ctx.expect(orig_max < 6.0, "original bandwidth is single-digit MB/s");
-    ctx.expect(opt_max > 10.0,
-               "optimized bandwidth reaches tens of MB/s");
-  }
+  ctx.expect(opt_min > 3.0 * orig_max,
+             "optimized bandwidth clearly separated from original");
+  ctx.expect(orig_max < 6.0, "original bandwidth is single-digit MB/s");
+  ctx.expect(opt_max > 10.0, "optimized bandwidth reaches tens of MB/s");
 }
 
 const scenario::Registration reg{{

@@ -26,7 +26,6 @@
 #include <functional>
 #include <vector>
 
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "hw/machine.hpp"
 #include "metrics/metrics.hpp"
@@ -147,9 +146,9 @@ void run(scenario::Context& ctx) {
   }
   ctx.printf(
       "Figure 2 at scale: collective dump-step time vs compute nodes\n%s\n",
-      (opt.csv ? table.csv() : table.str()).c_str());
+      ctx.table(table).c_str());
   ctx.printf("Exchange messages per run (alltoallv traffic)\n%s\n",
-             (opt.csv ? msgs.csv() : msgs.str()).c_str());
+             ctx.table(msgs).c_str());
 
   // Report the measured crossover between hardware scaling (flat/128io)
   // and software aggregation (hier/64io).
@@ -167,31 +166,23 @@ void run(scenario::Context& ctx) {
     ctx.printf("crossover: none within the sweep\n");
   }
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    const std::size_t last = procs.size() - 1;
-    // Below the crossover, doubling the I/O partition beats software
-    // aggregation (hardware wins first, as in Figure 2).
-    ctx.expect(at(0, 2).exec < at(0, 1).exec,
-               "at 1024 nodes flat/128io beats hier/64io");
-    // Past it, aggregation on HALF the I/O hardware wins.
-    ctx.expect(at(last, 1).exec < at(last, 2).exec,
-               "at 2048 nodes hier/64io beats flat/128io (crossover)");
-    ctx.expect(cross < procs.size(),
-               "crossover exists within the node sweep");
-    // Aggregation must win against flat on equal hardware at scale.
-    ctx.expect(at(last, 1).exec < at(last, 0).exec,
-               "at 2048 nodes hier/64io beats flat/64io");
-    // The aggregator topology's raison d'etre: >= 10x fewer exchange
-    // messages than flat at every swept node count.
-    for (std::size_t pi = 0; pi < procs.size(); ++pi) {
-      ctx.expect(at(pi, 0).a2a_msgs >= 10.0 * at(pi, 1).a2a_msgs,
-                 "hier cuts alltoallv messages >= 10x vs flat");
-    }
+  const std::size_t last = procs.size() - 1;
+  // Below the crossover, doubling the I/O partition beats software
+  // aggregation (hardware wins first, as in Figure 2).
+  ctx.expect(at(0, 2).exec < at(0, 1).exec,
+             "at 1024 nodes flat/128io beats hier/64io");
+  // Past it, aggregation on HALF the I/O hardware wins.
+  ctx.expect(at(last, 1).exec < at(last, 2).exec,
+             "at 2048 nodes hier/64io beats flat/128io (crossover)");
+  ctx.expect(cross < procs.size(), "crossover exists within the node sweep");
+  // Aggregation must win against flat on equal hardware at scale.
+  ctx.expect(at(last, 1).exec < at(last, 0).exec,
+             "at 2048 nodes hier/64io beats flat/64io");
+  // The aggregator topology's raison d'etre: >= 10x fewer exchange
+  // messages than flat at every swept node count.
+  for (std::size_t pi = 0; pi < procs.size(); ++pi) {
+    ctx.expect(at(pi, 0).a2a_msgs >= 10.0 * at(pi, 1).a2a_msgs,
+               "hier cuts alltoallv messages >= 10x vs flat");
   }
 }
 

@@ -74,7 +74,6 @@ BENCHMARK(BM_ConcurrentClients)->Arg(4)->Arg(64);
 void run(scenario::Context& ctx) {
   bench::run_micro(
       ctx, "^BM_(StripedRead|SmallScatteredWrites|ConcurrentClients)/");
-  ctx.finish_metrics();
 }
 
 const scenario::Registration reg{{

@@ -89,7 +89,6 @@ void run(scenario::Context& ctx) {
   bench::run_micro(
       ctx,
       "^BM_(DelayChain|SpawnJoin|ResourceContention|ChannelPingPong)/");
-  ctx.finish_metrics();
 }
 
 const scenario::Registration reg{{

@@ -72,7 +72,6 @@ BENCHMARK(BM_TwoPhaseDataBacked)->Arg(4)->Arg(16);
 
 void run(scenario::Context& ctx) {
   bench::run_micro(ctx, "^BM_(TwoPhaseWrite|TwoPhaseDataBacked)/");
-  ctx.finish_metrics();
 }
 
 const scenario::Registration reg{{

@@ -126,8 +126,7 @@ void run_interference(scenario::Context& ctx) {
       "%zu compute nodes, %zu I/O nodes, FCFS, crashes MTBF=%.0fs "
       "outage=%.0fs seed=%llu\n%s\n",
       kJobs, kComputeNodes, kIoNodes, kMtbf, kOutage,
-      static_cast<unsigned long long>(opt.seed),
-      (opt.csv ? table.csv() : table.str()).c_str());
+      static_cast<unsigned long long>(opt.seed), ctx.table(table).c_str());
   ctx.printf(
       "Waste split, cooperative vs free-for-all: ckpt-blocked %.0f -> "
       "%.0f node-s equivalent stalls; deferrals traded %d boundary "
@@ -135,32 +134,27 @@ void run_interference(scenario::Context& ctx) {
       ffa.total_ckpt_blocked, coop.total_ckpt_blocked,
       coop.total_deferrals);
 
-  ctx.finish_metrics();
-
-  if (opt.check) {
-    bool all_done = true;
-    for (const sched::PlatformReport& r : reps) {
-      all_done = all_done && r.completed_jobs ==
-                                 static_cast<int>(r.jobs.size());
-    }
-    ctx.expect(static_cast<int>(ffa.jobs.size()) >= 200,
-               "the stream queues at least 200 jobs");
-    ctx.expect(all_done, "every job completes under every strategy");
-    ctx.expect(coop.wasted_node_s < ffa.wasted_node_s,
-               "cooperative checkpoint scheduling wastes strictly less "
-               "node-time (" +
-                   expt::fmt("%.0f", coop.wasted_node_s) +
-                   ") than free-for-all (" +
-                   expt::fmt("%.0f", ffa.wasted_node_s) + ")");
-    ctx.expect(coop.total_ckpt_blocked < ffa.total_ckpt_blocked,
-               "one-at-a-time checkpoints cut per-job checkpoint stalls");
-    ctx.expect(coop.total_deferrals > 0,
-               "cooperative mode actually defers checkpoints");
-    ctx.expect(slots.total_restarts == ffa.total_restarts ||
-                   slots.completed_jobs == static_cast<int>(
-                                               slots.jobs.size()),
-               "ordered slots stay functionally correct under faults");
+  bool all_done = true;
+  for (const sched::PlatformReport& r : reps) {
+    all_done = all_done && r.completed_jobs == static_cast<int>(r.jobs.size());
   }
+  ctx.expect(static_cast<int>(ffa.jobs.size()) >= 200,
+             "the stream queues at least 200 jobs");
+  ctx.expect(all_done, "every job completes under every strategy");
+  ctx.expect(coop.wasted_node_s < ffa.wasted_node_s,
+             "cooperative checkpoint scheduling wastes strictly less "
+             "node-time (" +
+                 expt::fmt("%.0f", coop.wasted_node_s) +
+                 ") than free-for-all (" +
+                 expt::fmt("%.0f", ffa.wasted_node_s) + ")");
+  ctx.expect(coop.total_ckpt_blocked < ffa.total_ckpt_blocked,
+             "one-at-a-time checkpoints cut per-job checkpoint stalls");
+  ctx.expect(coop.total_deferrals > 0,
+             "cooperative mode actually defers checkpoints");
+  ctx.expect(slots.total_restarts == ffa.total_restarts ||
+                 slots.completed_jobs == static_cast<int>(
+                                             slots.jobs.size()),
+             "ordered slots stay functionally correct under faults");
 }
 
 const scenario::Registration reg_interference{{
@@ -222,44 +216,38 @@ void run_queueing(scenario::Context& ctx) {
       "Platform queueing disciplines: %d jobs, %zu compute nodes, "
       "%zu I/O nodes, fault-free, free-for-all I/O, seed=%llu\n%s\n",
       kJobs, kComputeNodes, kIoNodes,
-      static_cast<unsigned long long>(opt.seed),
-      (opt.csv ? table.csv() : table.str()).c_str());
+      static_cast<unsigned long long>(opt.seed), ctx.table(table).c_str());
   ctx.printf("High-priority (small) job stretch: fcfs %.2f, priority "
              "%.2f; backfill makespan %.0fs vs fcfs %.0fs\n\n",
              fcfs_p2, prio_p2, fill.makespan, fcfs.makespan);
 
-  ctx.finish_metrics();
-
-  if (opt.check) {
-    bool all_done = true;
-    for (const sched::PlatformReport& r : reps) {
-      all_done = all_done && r.completed_jobs ==
-                                 static_cast<int>(r.jobs.size());
-    }
-    ctx.expect(all_done, "every job completes under every discipline");
-    int restarts = 0;
-    for (const sched::PlatformReport& r : reps) {
-      restarts += r.total_restarts;
-    }
-    ctx.expect(restarts == 0, "fault-free platform never restarts a job");
-    // EASY's no-delay guarantee is per-decision (by estimate); backfilled
-    // jobs still add I/O interference, so allow makespan a small slip
-    // while demanding the user-visible wins.
-    ctx.expect(fill.makespan <= fcfs.makespan * 1.05,
-               "EASY backfill holds the FCFS makespan within 5% (" +
-                   expt::fmt("%.0f", fill.makespan) + " vs " +
-                   expt::fmt("%.0f", fcfs.makespan) + " s)");
-    ctx.expect(fill.mean_queue_wait_s < fcfs.mean_queue_wait_s,
-               "backfill cuts mean queue wait vs FCFS");
-    ctx.expect(fill.mean_stretch < fcfs.mean_stretch,
-               "backfill cuts mean stretch vs FCFS (" +
-                   expt::fmt("%.2f", fill.mean_stretch) + " vs " +
-                   expt::fmt("%.2f", fcfs.mean_stretch) + ")");
-    ctx.expect(prio_p2 < fcfs_p2,
-               "priority discipline improves high-priority job stretch (" +
-                   expt::fmt("%.2f", prio_p2) + " vs " +
-                   expt::fmt("%.2f", fcfs_p2) + ")");
+  bool all_done = true;
+  for (const sched::PlatformReport& r : reps) {
+    all_done = all_done && r.completed_jobs == static_cast<int>(r.jobs.size());
   }
+  ctx.expect(all_done, "every job completes under every discipline");
+  int restarts = 0;
+  for (const sched::PlatformReport& r : reps) {
+    restarts += r.total_restarts;
+  }
+  ctx.expect(restarts == 0, "fault-free platform never restarts a job");
+  // EASY's no-delay guarantee is per-decision (by estimate); backfilled
+  // jobs still add I/O interference, so allow makespan a small slip
+  // while demanding the user-visible wins.
+  ctx.expect(fill.makespan <= fcfs.makespan * 1.05,
+             "EASY backfill holds the FCFS makespan within 5% (" +
+                 expt::fmt("%.0f", fill.makespan) + " vs " +
+                 expt::fmt("%.0f", fcfs.makespan) + " s)");
+  ctx.expect(fill.mean_queue_wait_s < fcfs.mean_queue_wait_s,
+             "backfill cuts mean queue wait vs FCFS");
+  ctx.expect(fill.mean_stretch < fcfs.mean_stretch,
+             "backfill cuts mean stretch vs FCFS (" +
+                 expt::fmt("%.2f", fill.mean_stretch) + " vs " +
+                 expt::fmt("%.2f", fcfs.mean_stretch) + ")");
+  ctx.expect(prio_p2 < fcfs_p2,
+             "priority discipline improves high-priority job stretch (" +
+                 expt::fmt("%.2f", prio_p2) + " vs " +
+                 expt::fmt("%.2f", fcfs_p2) + ")");
 }
 
 const scenario::Registration reg_queueing{{

@@ -125,42 +125,35 @@ void run(scenario::Context& ctx) {
       "Platform server cache: %d jobs (5 apps x 3 sizes), %zu compute "
       "nodes, %zu I/O nodes, FCFS free-for-all, seed=%llu\n%s\n",
       kJobs, kComputeNodes, kIoNodes,
-      static_cast<unsigned long long>(opt.seed),
-      (opt.csv ? table.csv() : table.str()).c_str());
+      static_cast<unsigned long long>(opt.seed), ctx.table(table).c_str());
   ctx.printf(
       "Smart server vs passive LRU: hit rate %.1f%% -> %.1f%%, waste "
       "%.0f -> %.0f node-s.\n\n",
       100.0 * lru.cache_hit_rate(), 100.0 * arc_ra.cache_hit_rate(),
       capacity_waste(lru), capacity_waste(arc_ra));
 
-  ctx.finish_metrics();
-
-  if (opt.check) {
-    bool all_done = true;
-    for (const sched::PlatformReport& r : reps) {
-      all_done =
-          all_done && r.completed_jobs == static_cast<int>(r.jobs.size());
-    }
-    ctx.expect(static_cast<int>(lru.jobs.size()) >= 200,
-               "the stream queues at least 200 jobs");
-    ctx.expect(all_done, "every job completes under every server config");
-    ctx.expect(arc_ra.cache_hit_rate() > lru.cache_hit_rate(),
-               "ARC + read-ahead beats plain LRU on aggregate hit rate (" +
-                   expt::fmt("%.1f", 100.0 * arc_ra.cache_hit_rate()) +
-                   "% vs " +
-                   expt::fmt("%.1f", 100.0 * lru.cache_hit_rate()) + "%)");
-    ctx.expect(capacity_waste(arc_ra) < capacity_waste(lru),
-               "the smart server wastes strictly less node-time (" +
-                   expt::fmt("%.0f", capacity_waste(arc_ra)) + " vs " +
-                   expt::fmt("%.0f", capacity_waste(lru)) + ")");
-    ctx.expect(arc.cache_hit_rate() >= lru.cache_hit_rate(),
-               "policy alone (ARC, no read-ahead) already holds the line "
-               "on hit rate");
-    ctx.expect(arc_ra.readahead_issued > 0 && arc_ra.readahead_hits > 0,
-               "read-ahead is live under the job stream");
-    ctx.expect(lru.readahead_issued == 0,
-               "the legacy config speculates nothing");
+  bool all_done = true;
+  for (const sched::PlatformReport& r : reps) {
+    all_done = all_done && r.completed_jobs == static_cast<int>(r.jobs.size());
   }
+  ctx.expect(static_cast<int>(lru.jobs.size()) >= 200,
+             "the stream queues at least 200 jobs");
+  ctx.expect(all_done, "every job completes under every server config");
+  ctx.expect(arc_ra.cache_hit_rate() > lru.cache_hit_rate(),
+             "ARC + read-ahead beats plain LRU on aggregate hit rate (" +
+                 expt::fmt("%.1f", 100.0 * arc_ra.cache_hit_rate()) +
+                 "% vs " +
+                 expt::fmt("%.1f", 100.0 * lru.cache_hit_rate()) + "%)");
+  ctx.expect(capacity_waste(arc_ra) < capacity_waste(lru),
+             "the smart server wastes strictly less node-time (" +
+                 expt::fmt("%.0f", capacity_waste(arc_ra)) + " vs " +
+                 expt::fmt("%.0f", capacity_waste(lru)) + ")");
+  ctx.expect(arc.cache_hit_rate() >= lru.cache_hit_rate(),
+             "policy alone (ARC, no read-ahead) already holds the line "
+             "on hit rate");
+  ctx.expect(arc_ra.readahead_issued > 0 && arc_ra.readahead_hits > 0,
+             "read-ahead is live under the job stream");
+  ctx.expect(lru.readahead_issued == 0, "the legacy config speculates nothing");
 }
 
 const scenario::Registration reg{{

@@ -157,8 +157,7 @@ void run(scenario::Context& ctx) {
       "Platform under server faults: %d jobs, %zu compute nodes, %zu I/O "
       "nodes (%zu per rack), plain crashes, seed=%llu\n%s\n",
       kJobs, kComputeNodes, kIoNodes, kFanIn,
-      static_cast<unsigned long long>(opt.seed),
-      (opt.csv ? table.csv() : table.str()).c_str());
+      static_cast<unsigned long long>(opt.seed), ctx.table(table).c_str());
 
   const PointResult& wb = res[0];
   const PointResult& od = res[1];
@@ -175,46 +174,41 @@ void run(scenario::Context& ctx) {
       capacity_waste(j.rep), capacity_waste(wt.rep),
       capacity_waste(wb.rep));
 
-  ctx.finish_metrics();
-
-  if (opt.check) {
-    bool all_done = true;
-    for (const PointResult& r : res) {
-      all_done = all_done && r.rep.completed_jobs ==
-                                 static_cast<int>(r.rep.jobs.size());
-    }
-    ctx.expect(all_done,
-               "every job rides out the outages under every policy");
-    ctx.expect(wb.rep.lost_dirty_blocks > 0 && wb.rep.lost_bytes > 0,
-               "write_behind forfeits acked data to the crashes (" +
-                   expt::fmt_u64(wb.rep.lost_bytes >> 10) + " KB)");
-    ctx.expect(wb.audit.lost_updates > 0 &&
-                   wb.audit.lost_updates == wb.rep.lost_dirty_blocks,
-               "the auditor catches every lost write_behind update (" +
-                   expt::fmt_u64(wb.audit.lost_updates) + " of " +
-                   expt::fmt_u64(wb.rep.lost_dirty_blocks) + ")");
-    ctx.expect(j.rep.lost_bytes == 0 && j.audit.violations() == 0,
-               "journaled loses zero acked bytes (replayed " +
-                   expt::fmt_u64(j.rep.journal_replayed) + " blocks)");
-    ctx.expect(wt.rep.lost_bytes == 0 && wt.audit.violations() == 0,
-               "write_through loses zero acked bytes");
-    ctx.expect(j.rep.journal_replayed > 0,
-               "crashes actually exercised the redo-log replay path");
-    ctx.expect(wb.rep.cache_invalidations > 0,
-               "crashed servers came back with cold caches");
-    const double w_wb = wb.rep.durability_wait_s;
-    const double w_od = od.rep.durability_wait_s;
-    const double w_j = j.rep.durability_wait_s;
-    const double w_wt = wt.rep.durability_wait_s;
-    ctx.expect(w_wt >= w_j && w_j >= w_od && w_od >= w_wb,
-               "stronger contracts bill more durability wait: "
-               "write_through >= journaled >= ordered_drain >= "
-               "write_behind (" +
-                   expt::fmt("%.1f", w_wt) + " / " +
-                   expt::fmt("%.1f", w_j) + " / " +
-                   expt::fmt("%.1f", w_od) + " / " +
-                   expt::fmt("%.1f", w_wb) + " s)");
+  bool all_done = true;
+  for (const PointResult& r : res) {
+    all_done = all_done && r.rep.completed_jobs ==
+                               static_cast<int>(r.rep.jobs.size());
   }
+  ctx.expect(all_done, "every job rides out the outages under every policy");
+  ctx.expect(wb.rep.lost_dirty_blocks > 0 && wb.rep.lost_bytes > 0,
+             "write_behind forfeits acked data to the crashes (" +
+                 expt::fmt_u64(wb.rep.lost_bytes >> 10) + " KB)");
+  ctx.expect(wb.audit.lost_updates > 0 &&
+                 wb.audit.lost_updates == wb.rep.lost_dirty_blocks,
+             "the auditor catches every lost write_behind update (" +
+                 expt::fmt_u64(wb.audit.lost_updates) + " of " +
+                 expt::fmt_u64(wb.rep.lost_dirty_blocks) + ")");
+  ctx.expect(j.rep.lost_bytes == 0 && j.audit.violations() == 0,
+             "journaled loses zero acked bytes (replayed " +
+                 expt::fmt_u64(j.rep.journal_replayed) + " blocks)");
+  ctx.expect(wt.rep.lost_bytes == 0 && wt.audit.violations() == 0,
+             "write_through loses zero acked bytes");
+  ctx.expect(j.rep.journal_replayed > 0,
+             "crashes actually exercised the redo-log replay path");
+  ctx.expect(wb.rep.cache_invalidations > 0,
+             "crashed servers came back with cold caches");
+  const double w_wb = wb.rep.durability_wait_s;
+  const double w_od = od.rep.durability_wait_s;
+  const double w_j = j.rep.durability_wait_s;
+  const double w_wt = wt.rep.durability_wait_s;
+  ctx.expect(w_wt >= w_j && w_j >= w_od && w_od >= w_wb,
+             "stronger contracts bill more durability wait: "
+             "write_through >= journaled >= ordered_drain >= "
+             "write_behind (" +
+                 expt::fmt("%.1f", w_wt) + " / " +
+                 expt::fmt("%.1f", w_j) + " / " +
+                 expt::fmt("%.1f", w_od) + " / " +
+                 expt::fmt("%.1f", w_wb) + " s)");
 }
 
 const scenario::Registration reg{{

@@ -198,39 +198,35 @@ void run(scenario::Context& ctx) {
   ctx.printf(
       "Server cache replacement: LRU vs ARC over the five apps' reuse "
       "patterns (2 I/O nodes, 2 MB cache each)\n%s\n",
-      (opt.csv ? table.csv() : table.str()).c_str());
+      ctx.table(table).c_str());
   ctx.printf("Aggregate hits: lru %llu, arc %llu\n\n",
              static_cast<unsigned long long>(lru_total),
              static_cast<unsigned long long>(arc_total));
 
-  ctx.finish_metrics();
-
-  if (opt.check) {
-    const Result& scf_lru = at(0, 0);
-    const Result& scf_arc = at(0, 1);
-    const Result& ast_lru = at(2, 0);
-    const Result& ast_arc = at(2, 1);
-    ctx.expect(arc_total > lru_total,
-               "ARC wins aggregate hits over the app mix (" +
-                   expt::fmt_u64(arc_total) + " vs " +
-                   expt::fmt_u64(lru_total) + ")");
-    ctx.expect(scf_arc.hit_rate() > scf_lru.hit_rate(),
-               "ARC protects the scan-polluted SCF re-read set (" +
-                   expt::fmt("%.1f", 100.0 * scf_arc.hit_rate()) +
-                   "% vs " +
-                   expt::fmt("%.1f", 100.0 * scf_lru.hit_rate()) + "%)");
-    ctx.expect(scf_arc.elapsed < scf_lru.elapsed,
-               "the SCF hit-rate win shows up in client time");
-    ctx.expect(ast_arc.hit_rate() > ast_lru.hit_rate(),
-               "ARC's frequency list wins on skewed random reads");
-    for (std::size_t a : {std::size_t{3}, std::size_t{4}}) {
-      ctx.expect(at(a, 0).hit_rate() < 0.05 && at(a, 1).hit_rate() < 0.05,
-                 std::string(kApps[a].name) +
-                     ": pure streams have no reuse for either policy");
-    }
-    ctx.expect(scf_lru.evictions > 0 && scf_arc.evictions > 0,
-               "eviction accounting is live for both policies");
+  const Result& scf_lru = at(0, 0);
+  const Result& scf_arc = at(0, 1);
+  const Result& ast_lru = at(2, 0);
+  const Result& ast_arc = at(2, 1);
+  ctx.expect(arc_total > lru_total,
+             "ARC wins aggregate hits over the app mix (" +
+                 expt::fmt_u64(arc_total) + " vs " +
+                 expt::fmt_u64(lru_total) + ")");
+  ctx.expect(scf_arc.hit_rate() > scf_lru.hit_rate(),
+             "ARC protects the scan-polluted SCF re-read set (" +
+                 expt::fmt("%.1f", 100.0 * scf_arc.hit_rate()) +
+                 "% vs " +
+                 expt::fmt("%.1f", 100.0 * scf_lru.hit_rate()) + "%)");
+  ctx.expect(scf_arc.elapsed < scf_lru.elapsed,
+             "the SCF hit-rate win shows up in client time");
+  ctx.expect(ast_arc.hit_rate() > ast_lru.hit_rate(),
+             "ARC's frequency list wins on skewed random reads");
+  for (std::size_t a : {std::size_t{3}, std::size_t{4}}) {
+    ctx.expect(at(a, 0).hit_rate() < 0.05 && at(a, 1).hit_rate() < 0.05,
+               std::string(kApps[a].name) +
+                   ": pure streams have no reuse for either policy");
   }
+  ctx.expect(scf_lru.evictions > 0 && scf_arc.evictions > 0,
+             "eviction accounting is live for both policies");
 }
 
 const scenario::Registration reg{{

@@ -218,7 +218,7 @@ void run(scenario::Context& ctx) {
       "Server crash durability: 1 client, %zu I/O nodes, pool writeback, "
       "node %zu %s at t=%.0fs (reboot %.0fs)\n%s\n",
       kIoNodes, kCrashNode, "crashes", kCrashTime, kRebootTime,
-      (opt.csv ? table.csv() : table.str()).c_str());
+      ctx.table(table).c_str());
 
   const PointResult& wb_crash = at(0, 1);
   ctx.printf(
@@ -229,71 +229,62 @@ void run(scenario::Context& ctx) {
       static_cast<unsigned long long>(wb_crash.lost_bytes >> 10),
       static_cast<unsigned long long>(wb_crash.audit.stale_reads));
 
-  ctx.finish_metrics();
-
-  if (opt.check) {
-    bool all_acked = true;
-    bool fault_free_clean = true;
-    for (std::size_t p = 0; p < kNP; ++p) {
-      for (std::size_t f = 0; f < kNF; ++f) {
-        all_acked = all_acked && at(p, f).acked_writes > 0 &&
-                    at(p, f).acked_writes == at(0, 0).acked_writes;
-      }
-      fault_free_clean =
-          fault_free_clean && at(p, 0).audit.violations() == 0 &&
-          at(p, 0).lost_blocks == 0;
+  bool all_acked = true;
+  bool fault_free_clean = true;
+  for (std::size_t p = 0; p < kNP; ++p) {
+    for (std::size_t f = 0; f < kNF; ++f) {
+      all_acked = all_acked && at(p, f).acked_writes > 0 &&
+                  at(p, f).acked_writes == at(0, 0).acked_writes;
     }
-    ctx.expect(all_acked, "every policy acks the full burst on every row");
-    ctx.expect(fault_free_clean,
-               "fault-free rows lose nothing and audit clean");
-
-    const PointResult& wt_crash = at(1, 1);
-    const PointResult& od_crash = at(2, 1);
-    const PointResult& j_crash = at(3, 1);
-    ctx.expect(wb_crash.lost_blocks > 0 && wb_crash.lost_bytes > 0,
-               "write_behind loses acked blocks to a plain crash (" +
-                   expt::fmt_u64(wb_crash.lost_blocks) + " blocks)");
-    ctx.expect(wb_crash.audit.lost_updates == wb_crash.lost_blocks,
-               "the auditor sees every lost write_behind update (" +
-                   expt::fmt_u64(wb_crash.audit.lost_updates) + " of " +
-                   expt::fmt_u64(wb_crash.lost_blocks) + ")");
-    ctx.expect(wb_crash.audit.stale_reads > 0,
-               "reading a lost block back is flagged as a stale read");
-    ctx.expect(wb_crash.audit.torn_writes > 0,
-               "a crash splitting a straddling ack group is flagged torn");
-    ctx.expect(wt_crash.lost_blocks == 0 &&
-                   wt_crash.audit.violations() == 0,
-               "write_through never loses an acked byte");
-    ctx.expect(od_crash.lost_blocks == 0 &&
-                   od_crash.audit.violations() == 0,
-               "ordered_drain loses nothing once the barrier returned");
-    ctx.expect(j_crash.lost_blocks == 0 &&
-                   j_crash.audit.violations() == 0 &&
-                   j_crash.journal_replayed > 0,
-               "journaled replays the redo log (" +
-                   expt::fmt_u64(j_crash.journal_replayed) +
-                   " blocks) and loses nothing");
-
-    const PointResult& wt_scrub = at(1, 2);
-    const PointResult& j_scrub = at(3, 2);
-    ctx.expect(wt_scrub.audit.scrub_destroyed > 0 &&
-                   wt_scrub.audit.stale_reads > 0,
-               "a scrub destroys even write_through's durable blocks");
-    ctx.expect(j_scrub.lost_blocks > 0 && j_scrub.journal_replayed == 0,
-               "a scrub takes journaled's redo log with it");
-
-    const double wb_s = at(0, 0).write_span;
-    const double wt_s = at(1, 0).write_span;
-    const double od_s = at(2, 0).write_span;
-    const double j_s = at(3, 0).write_span;
-    ctx.expect(wt_s >= j_s && j_s >= od_s && od_s > wb_s,
-               "up-front cost orders write_through >= journaled >= "
-               "ordered_drain > write_behind (" +
-                   expt::fmt("%.3f", wt_s) + " / " +
-                   expt::fmt("%.3f", j_s) + " / " +
-                   expt::fmt("%.3f", od_s) + " / " +
-                   expt::fmt("%.3f", wb_s) + " s)");
+    fault_free_clean = fault_free_clean && at(p, 0).audit.violations() == 0 &&
+                       at(p, 0).lost_blocks == 0;
   }
+  ctx.expect(all_acked, "every policy acks the full burst on every row");
+  ctx.expect(fault_free_clean, "fault-free rows lose nothing and audit clean");
+
+  const PointResult& wt_crash = at(1, 1);
+  const PointResult& od_crash = at(2, 1);
+  const PointResult& j_crash = at(3, 1);
+  ctx.expect(wb_crash.lost_blocks > 0 && wb_crash.lost_bytes > 0,
+             "write_behind loses acked blocks to a plain crash (" +
+                 expt::fmt_u64(wb_crash.lost_blocks) + " blocks)");
+  ctx.expect(wb_crash.audit.lost_updates == wb_crash.lost_blocks,
+             "the auditor sees every lost write_behind update (" +
+                 expt::fmt_u64(wb_crash.audit.lost_updates) + " of " +
+                 expt::fmt_u64(wb_crash.lost_blocks) + ")");
+  ctx.expect(wb_crash.audit.stale_reads > 0,
+             "reading a lost block back is flagged as a stale read");
+  ctx.expect(wb_crash.audit.torn_writes > 0,
+             "a crash splitting a straddling ack group is flagged torn");
+  ctx.expect(wt_crash.lost_blocks == 0 && wt_crash.audit.violations() == 0,
+             "write_through never loses an acked byte");
+  ctx.expect(od_crash.lost_blocks == 0 && od_crash.audit.violations() == 0,
+             "ordered_drain loses nothing once the barrier returned");
+  ctx.expect(j_crash.lost_blocks == 0 && j_crash.audit.violations() == 0 &&
+                 j_crash.journal_replayed > 0,
+             "journaled replays the redo log (" +
+                 expt::fmt_u64(j_crash.journal_replayed) +
+                 " blocks) and loses nothing");
+
+  const PointResult& wt_scrub = at(1, 2);
+  const PointResult& j_scrub = at(3, 2);
+  ctx.expect(wt_scrub.audit.scrub_destroyed > 0 &&
+                 wt_scrub.audit.stale_reads > 0,
+             "a scrub destroys even write_through's durable blocks");
+  ctx.expect(j_scrub.lost_blocks > 0 && j_scrub.journal_replayed == 0,
+             "a scrub takes journaled's redo log with it");
+
+  const double wb_s = at(0, 0).write_span;
+  const double wt_s = at(1, 0).write_span;
+  const double od_s = at(2, 0).write_span;
+  const double j_s = at(3, 0).write_span;
+  ctx.expect(wt_s >= j_s && j_s >= od_s && od_s > wb_s,
+             "up-front cost orders write_through >= journaled >= "
+             "ordered_drain > write_behind (" +
+                 expt::fmt("%.3f", wt_s) + " / " +
+                 expt::fmt("%.3f", j_s) + " / " +
+                 expt::fmt("%.3f", od_s) + " / " +
+                 expt::fmt("%.3f", wb_s) + " s)");
 }
 
 const scenario::Registration reg{{

@@ -144,35 +144,30 @@ void run(scenario::Context& ctx) {
       "Server read-ahead: hit/waste tradeoff by access pattern "
       "(min_run=%d, degree=%u, budget=%u)\n%s\n",
       pfs::IoNode::kReadAheadMinRun, pfs::IoNode::kReadAheadDegree,
-      pfs::IoNode::kReadAheadBudget,
-      (opt.csv ? table.csv() : table.str()).c_str());
+      pfs::IoNode::kReadAheadBudget, ctx.table(table).c_str());
 
-  ctx.finish_metrics();
-
-  if (opt.check) {
-    const Result& seq_off = at(Pattern::kSequential, false);
-    const Result& seq_on = at(Pattern::kSequential, true);
-    const Result& str_off = at(Pattern::kStrided, false);
-    const Result& str_on = at(Pattern::kStrided, true);
-    const Result& rnd_off = at(Pattern::kRandom, false);
-    const Result& rnd_on = at(Pattern::kRandom, true);
-    ctx.expect(seq_on.elapsed < seq_off.elapsed,
-               "read-ahead speeds up the sequential scan (" +
-                   expt::fmt("%.2f", seq_on.elapsed) + " vs " +
-                   expt::fmt("%.2f", seq_off.elapsed) + " s)");
-    ctx.expect(str_on.elapsed < str_off.elapsed,
-               "read-ahead follows constant strides, not just stride 1");
-    ctx.expect(seq_on.ra_hits * 2 > seq_on.ra_issued,
-               "most sequential prefetches are used (hit rate > 50%)");
-    ctx.expect(seq_on.ra_waste * 5 < seq_on.ra_issued + 1,
-               "sequential prefetch waste stays under 20%");
-    ctx.expect(rnd_on.ra_issued * 10 < rnd_off.disk_reads + 10,
-               "a shuffled order arms (almost) no speculation");
-    ctx.expect(rnd_on.elapsed <= rnd_off.elapsed * 1.02,
-               "read-ahead does no harm to the random workload (" +
-                   expt::fmt("%.2f", rnd_on.elapsed) + " vs " +
-                   expt::fmt("%.2f", rnd_off.elapsed) + " s)");
-  }
+  const Result& seq_off = at(Pattern::kSequential, false);
+  const Result& seq_on = at(Pattern::kSequential, true);
+  const Result& str_off = at(Pattern::kStrided, false);
+  const Result& str_on = at(Pattern::kStrided, true);
+  const Result& rnd_off = at(Pattern::kRandom, false);
+  const Result& rnd_on = at(Pattern::kRandom, true);
+  ctx.expect(seq_on.elapsed < seq_off.elapsed,
+             "read-ahead speeds up the sequential scan (" +
+                 expt::fmt("%.2f", seq_on.elapsed) + " vs " +
+                 expt::fmt("%.2f", seq_off.elapsed) + " s)");
+  ctx.expect(str_on.elapsed < str_off.elapsed,
+             "read-ahead follows constant strides, not just stride 1");
+  ctx.expect(seq_on.ra_hits * 2 > seq_on.ra_issued,
+             "most sequential prefetches are used (hit rate > 50%)");
+  ctx.expect(seq_on.ra_waste * 5 < seq_on.ra_issued + 1,
+             "sequential prefetch waste stays under 20%");
+  ctx.expect(rnd_on.ra_issued * 10 < rnd_off.disk_reads + 10,
+             "a shuffled order arms (almost) no speculation");
+  ctx.expect(rnd_on.elapsed <= rnd_off.elapsed * 1.02,
+             "read-ahead does no harm to the random workload (" +
+                 expt::fmt("%.2f", rnd_on.elapsed) + " vs " +
+                 expt::fmt("%.2f", rnd_off.elapsed) + " s)");
 }
 
 const scenario::Registration reg{{

@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "apps/scf.hpp"
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "scenario/scenario.hpp"
 #include "trace/tracer.hpp"
@@ -54,28 +53,20 @@ void run(scenario::Context& ctx) {
   ctx.printf("Read-latency distribution (original):\n%s\n",
              trace::format_latency_quantiles(orig.trace).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    const auto& oread = orig.trace.summary(pfs::OpKind::kRead);
-    const auto& pread = pass.trace.summary(pfs::OpKind::kRead);
-    const auto& pseek = pass.trace.summary(pfs::OpKind::kSeek);
-    ctx.expect(oread.time > 0.90 * orig.io_time,
-               "reads dominate original I/O time (paper: 95.6%)");
-    ctx.expect(oread.bytes == pread.bytes, "both versions move equal data");
-    ctx.expect(orig.io_time / pass.io_time > 1.3 &&
-                   orig.io_time / pass.io_time < 2.4,
-               "PASSION interface speedup in the paper's band (~1.78x)");
-    ctx.expect(pseek.count > 100 * orig.trace.summary(pfs::OpKind::kSeek)
-                                      .count,
-               "PASSION version seeks before every read (604k vs 994)");
-    const double io_frac = orig.io_time / (orig.exec_time * 4);
-    ctx.expect(io_frac > 0.40 && io_frac < 0.75,
-               "I/O is roughly half of execution (paper: 54.1%)");
-  }
+  const auto& oread = orig.trace.summary(pfs::OpKind::kRead);
+  const auto& pread = pass.trace.summary(pfs::OpKind::kRead);
+  const auto& pseek = pass.trace.summary(pfs::OpKind::kSeek);
+  ctx.expect(oread.time > 0.90 * orig.io_time,
+             "reads dominate original I/O time (paper: 95.6%)");
+  ctx.expect(oread.bytes == pread.bytes, "both versions move equal data");
+  ctx.expect(orig.io_time / pass.io_time > 1.3 &&
+                 orig.io_time / pass.io_time < 2.4,
+             "PASSION interface speedup in the paper's band (~1.78x)");
+  ctx.expect(pseek.count > 100 * orig.trace.summary(pfs::OpKind::kSeek).count,
+             "PASSION version seeks before every read (604k vs 994)");
+  const double io_frac = orig.io_time / (orig.exec_time * 4);
+  ctx.expect(io_frac > 0.40 && io_frac < 0.75,
+             "I/O is roughly half of execution (paper: 54.1%)");
 }
 
 const scenario::Registration reg{{

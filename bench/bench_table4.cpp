@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "apps/ast.hpp"
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "scenario/scenario.hpp"
 
@@ -58,23 +57,16 @@ void run(scenario::Context& ctx) {
   }
   ctx.printf(
       "Table 4: AST (2K x 2K) execution times (s) on the Paragon\n%s\n",
-      (opt.csv ? table.csv() : table.str()).c_str());
+      ctx.table(table).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    ctx.expect(o16[0] < u16[0] / 2.0,
-               "collective I/O wins big at 16 procs (paper: 2557 vs 428)");
-    ctx.expect(u64_at16 > 0.85 * u16[0],
-               "quadrupling I/O nodes barely moves the unoptimized time");
-    ctx.expect(o16[0] / o16[2] > 2.0,
-               "optimized version scales from 16 to 64 procs");
-    ctx.expect(o16[2] / o16[3] < 1.8,
-               "optimized scaling degrades by 128 procs (paper: 76->86)");
-  }
+  ctx.expect(o16[0] < u16[0] / 2.0,
+             "collective I/O wins big at 16 procs (paper: 2557 vs 428)");
+  ctx.expect(u64_at16 > 0.85 * u16[0],
+             "quadrupling I/O nodes barely moves the unoptimized time");
+  ctx.expect(o16[0] / o16[2] > 2.0,
+             "optimized version scales from 16 to 64 procs");
+  ctx.expect(o16[2] / o16[3] < 1.8,
+             "optimized scaling degrades by 128 procs (paper: 76->86)");
 }
 
 const scenario::Registration reg{{

@@ -10,7 +10,6 @@
 #include "apps/fft_app.hpp"
 #include "apps/scf.hpp"
 #include "apps/scf3.hpp"
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 #include "scenario/scenario.hpp"
 
@@ -128,21 +127,14 @@ void run(scenario::Context& ctx) {
   table.add_row({"AST", tick(ast_u / ast_o), "-", "-", "-", "-"});
   ctx.printf("Table 5: effective optimization techniques (measured "
              "exec-time speedups)\n%s\n",
-             (opt.csv ? table.csv() : table.str()).c_str());
+             ctx.table(table).c_str());
 
-  ctx.finish_metrics();
-  if (opt.metrics) {
-    ctx.printf("%s", expt::metrics_report(ctx.registry()).c_str());
-  }
-
-  if (opt.check) {
-    ctx.expect(scf_o / scf_p > 1.10, "SCF 1.1: efficient interface ticks");
-    ctx.expect(scf_p / scf_f > 1.05, "SCF 1.1: prefetching helps");
-    ctx.expect(s30_unbal / s30_bal > 1.02, "SCF 3.0: balanced I/O helps");
-    ctx.expect(fft_u / fft_o > 1.10, "FFT: file layout ticks");
-    ctx.expect(bt_u / bt_o > 1.10, "BTIO: collective I/O ticks");
-    ctx.expect(ast_u / ast_o > 1.10, "AST: collective I/O ticks");
-  }
+  ctx.expect(scf_o / scf_p > 1.10, "SCF 1.1: efficient interface ticks");
+  ctx.expect(scf_p / scf_f > 1.05, "SCF 1.1: prefetching helps");
+  ctx.expect(s30_unbal / s30_bal > 1.02, "SCF 3.0: balanced I/O helps");
+  ctx.expect(fft_u / fft_o > 1.10, "FFT: file layout ticks");
+  ctx.expect(bt_u / bt_o > 1.10, "BTIO: collective I/O ticks");
+  ctx.expect(ast_u / ast_o > 1.10, "AST: collective I/O ticks");
 }
 
 const scenario::Registration reg{{

@@ -46,9 +46,7 @@ inline void run_micro(scenario::Context& ctx, const char* filter) {
   rep.SetOutputStream(&ctx.stream());
   rep.SetErrorStream(&ctx.stream());
   const std::size_t n = benchmark::RunSpecifiedBenchmarks(&rep, filter);
-  if (ctx.opt().check) {
-    ctx.expect(n > 0, std::string("benchmarks matched filter ") + filter);
-  }
+  ctx.expect(n > 0, std::string("benchmarks matched filter ") + filter);
 }
 
 }  // namespace bench

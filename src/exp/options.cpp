@@ -2,8 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string_view>
 #include <system_error>
 
@@ -93,12 +91,7 @@ void Options::parse(int argc, char** argv) {
     } else if (a == "--list") {
       list = true;
     } else if (a == "--help" || a == "-h") {
-      std::printf(
-          "usage: %s [--full] [--scale=X] [--check] [--csv] [--metrics] "
-          "[--metrics-out=PATH] [--policy=NAME] [--seed=N] [--audit] "
-          "[-j N] [--repeat=K] [--golden=PATH]\n",
-          argv[0]);
-      std::exit(0);
+      help = true;
     } else if (a.starts_with("-")) {
       fail("unknown option '" + std::string(a) +
            "' (valid: --full --scale=X --check --csv --metrics "

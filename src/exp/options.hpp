@@ -20,6 +20,7 @@
 //   --repeat=K     run K >= 1 times and fail on any output drift
 //   --golden=PATH  fail unless output matches the pinned file
 //   --all / --list scenario selection
+//   --help / -h    set `help`; the caller prints its usage and exits 0
 //
 // Numeric values must parse in full: garbage, trailing characters, an
 // empty value, or an out-of-range value is an error, never a silent 0.
@@ -45,6 +46,7 @@ struct Options {
   std::string golden;        // determinism gate: pinned-output file
   bool all = false;          // iosim run --all
   bool list = false;         // iosim --list
+  bool help = false;         // --help / -h: the caller prints its usage
   /// Set by parse() on the first bad `-`/`--` token: an unknown flag
   /// (the message names it and lists the valid ones) or a numeric flag
   /// whose value does not parse (the message names the flag and the

@@ -1,6 +1,5 @@
 #include "exp/resilience.hpp"
 
-#include "exp/report.hpp"
 #include "exp/table.hpp"
 
 namespace expt {
@@ -74,14 +73,6 @@ std::string resilience_report(const ckpt::Report& rep,
              " stuck disk-arm episodes\n";
     }
   }
-  return out;
-}
-
-std::string resilience_report(const ckpt::Report& rep,
-                              const fault::Injector* injector,
-                              const metrics::Registry* reg) {
-  std::string out = resilience_report(rep, injector);
-  if (reg && !reg->empty()) out += metrics_report(*reg);
   return out;
 }
 

@@ -9,7 +9,6 @@
 
 #include "ckpt/ckpt.hpp"
 #include "fault/injector.hpp"
-#include "metrics/metrics.hpp"
 
 namespace expt {
 
@@ -17,11 +16,5 @@ namespace expt {
 /// layer did to it.  `injector` may be null (fault-free runs).
 std::string resilience_report(const ckpt::Report& rep,
                               const fault::Injector* injector);
-
-/// Same, with the run's metrics registry appended as tables (see
-/// metrics_report in exp/report.hpp).  `reg` may be null or empty.
-std::string resilience_report(const ckpt::Report& rep,
-                              const fault::Injector* injector,
-                              const metrics::Registry* reg);
 
 }  // namespace expt

@@ -39,6 +39,12 @@ void MachineConfig::validate() const {
     throw ConfigError("MachineConfig '" + name +
                       "': io_nodes_per_switch exceeds io_nodes");
   }
+  if (io.server.durability.crash_semantics && io.write_behind &&
+      io.server.writeback.mode != iosrv::WritebackMode::kPool) {
+    throw ConfigError("MachineConfig '" + name +
+                      "': crash_semantics with write_behind needs "
+                      "writeback.mode = pool");
+  }
 }
 
 MachineConfig MachineConfig::paragon_small(std::size_t compute_nodes,

@@ -73,9 +73,11 @@ struct MachineConfig {
   }
 
   /// Reject impossible shapes with a ConfigError naming the bad field:
-  /// zero compute nodes, zero I/O nodes, or a switch fan-in larger than
-  /// the I/O partition.  Called by the Machine constructor, so every
-  /// simulation fails fast instead of asserting downstream.
+  /// zero compute nodes, zero I/O nodes, a switch fan-in larger than
+  /// the I/O partition, or server crash semantics with write-behind on
+  /// the legacy flusher (only the pool models what a crash destroys).
+  /// Called by the Machine constructor, so every simulation fails fast
+  /// instead of asserting downstream.
   void validate() const;
 
   // -- Presets (calibrated to the paper's platforms; see DESIGN.md §2) ----

@@ -90,7 +90,9 @@ struct DurabilityConfig {
   /// rejects requests but leaves cache and pool contents intact, as it
   /// always has.  When true, a crash invalidates the cache, discards
   /// the writeback pool (acked-but-unflushed blocks become lost
-  /// updates), and cancels in-flight drains and read-ahead.
+  /// updates), and cancels in-flight drains and read-ahead.  With
+  /// write-behind on, it requires WritebackMode::kPool
+  /// (hw::MachineConfig::validate rejects the legacy flusher).
   bool crash_semantics = false;
 };
 

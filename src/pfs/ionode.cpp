@@ -275,7 +275,7 @@ void IoNode::maybe_readahead(hw::NodeId client, FileId file,
   const iosrv::RunInfo run = pattern_.note(client, file, block);
   if (run.stride == 0 || run.length < kReadAheadMinRun) return;
   for (std::uint32_t i = 1; i <= kReadAheadDegree; ++i) {
-    if (ra_inflight_count_ >= kReadAheadBudget) break;
+    if (ra_inflight_.size() >= kReadAheadBudget) break;
     const std::int64_t next =
         static_cast<std::int64_t>(block) +
         run.stride * static_cast<std::int64_t>(i);
@@ -283,7 +283,6 @@ void IoNode::maybe_readahead(hw::NodeId client, FileId file,
     const iosrv::BlockKey k{file, static_cast<std::uint64_t>(next)};
     if (cache_->contains(k) || ra_inflight_.count(k) != 0) continue;
     ra_inflight_.emplace(k, std::make_shared<simkit::Trigger>());
-    ++ra_inflight_count_;
     ++ra_issued_;
     if (m_ra_issued_) m_ra_issued_->inc();
     eng_.spawn(prefetch_block(file, k), "iosrv.ra");
@@ -316,23 +315,14 @@ simkit::Task<void> IoNode::prefetch_block(FileId file, iosrv::BlockKey key) {
   assert(it != ra_inflight_.end());
   auto trig = it->second;
   ra_inflight_.erase(it);
-  --ra_inflight_count_;
   trig->fire(eng_);
 }
 
 simkit::Task<void> IoNode::flush_block(FileId file, std::uint64_t local_offset,
                                        std::uint64_t length,
                                        iosrv::BlockKey key) {
-  const std::uint64_t ep = crash_epoch_;
   co_await disk_for(file).serve(phys_of(file, local_offset), length,
                                 hw::AccessKind::kWrite);
-  if (ep != crash_epoch_) {
-    // The flush was in the dead node's memory: the write never landed
-    // (loss accounted at the crash edge).  The slot must still be
-    // released — resource accounting survives the crash.
-    dirty_slots_.release();
-    co_return;
-  }
   ++disk_writes_;
   if (m_disk_writes_) m_disk_writes_->inc();
   cache_->mark_clean(key);
@@ -416,19 +406,6 @@ void IoNode::on_crash(bool scrub) {
     } else {
       account_loss(lr);
     }
-  } else if (io_.write_behind) {
-    // Legacy flushers: every block in dirty_count_ was acked and sat in
-    // node memory (queued or in flight) — all of it dies.  Per-block
-    // extents are not tracked here; bytes approximate one stripe unit
-    // per block.
-    const simkit::Time now = eng_.now();
-    for (const auto& [f, cnt] : dirty_count_) {
-      lost_times_[f].push_back(now);
-      lost_dirty_blocks_ += cnt;
-      lost_bytes_ += cnt * io_.stripe_unit_bytes;
-      if (m_lost_blocks_) m_lost_blocks_->inc(cnt);
-      if (m_lost_bytes_) m_lost_bytes_->inc(cnt * io_.stripe_unit_bytes);
-    }
   }
   // A scrub destroys the redo log too — anything still waiting for
   // replay (this crash's blocks or a previous one's) is lost after all.
@@ -440,10 +417,6 @@ void IoNode::on_crash(bool scrub) {
     for (const iosrv::DirtyBlock& b : lr.lost) lr.bytes += b.length;
     account_loss(lr);
   }
-  // Force-drain waiters on the legacy path wake with nothing pending.
-  dirty_count_.clear();
-  for (auto& [f, trig] : drain_triggers_) trig->fire(eng_);
-  drain_triggers_.clear();
   if (scrub) {
     if (audit::Ledger* led = audit::current()) led->note_scrubbed(index_);
   }

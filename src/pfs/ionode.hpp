@@ -21,9 +21,10 @@
 // iosrv features default off; the default node is byte-identical to the
 // pre-iosrv passive server.
 //
-// Crash semantics (iosrv::DurabilityConfig, default OFF): when enabled
-// and a fault::Injector crash hits this node, the volatile state dies
-// with it — the block cache and writeback pool are invalidated,
+// Crash semantics (iosrv::DurabilityConfig, default OFF; write-behind
+// must then use the pool, see MachineConfig::validate): when enabled and
+// a fault::Injector crash hits this node, the volatile state dies with
+// it — the block cache and writeback pool are invalidated,
 // in-flight drains and prefetches are cancelled (epoch check), and
 // acked-but-unflushed blocks become lost updates reported to the
 // audit:: ledger and the loss counters.  The DurabilityPolicy decides
@@ -206,12 +207,11 @@ class IoNode {
   std::unordered_map<iosrv::BlockKey, std::shared_ptr<simkit::Trigger>,
                      iosrv::BlockKeyHash>
       ra_inflight_;
-  std::uint32_t ra_inflight_count_ = 0;
 
   // Crash-semantics state.  crash_epoch_ bumps at every crash edge;
-  // coroutines that straddle a crash (drain writes, prefetches, legacy
-  // flushes, journal replay) capture it before their disk access and
-  // treat a mismatch afterwards as "this work died with the node".
+  // coroutines that straddle a crash (drain writes, prefetches, journal
+  // replay) capture it before their disk access and treat a mismatch
+  // afterwards as "this work died with the node".
   std::uint64_t crash_epoch_ = 0;
   bool last_crash_scrub_ = false;
   std::vector<iosrv::DirtyBlock> replay_pending_;  // surviving redo log

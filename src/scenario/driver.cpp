@@ -28,6 +28,7 @@ void print_usage(const char* argv0) {
       "  --policy=NAME       checkpoint policy (fault_ckpt)\n"
       "  --seed=N            fault-plan seed, unsigned 64-bit\n"
       "                      (stochastic-plan scenarios)\n"
+      "  --audit             audit every read/write, print a summary line\n"
       "  -j N, --jobs=N      run grid points / scenarios on N >= 1 threads\n"
       "                      (output is byte-identical to -j 1)\n"
       "  --repeat=K          run K >= 1 times, fail on any output drift\n"
@@ -55,6 +56,10 @@ int iosim_main(int argc, char** argv) {
 
   expt::Options opt(/*default_scale=*/1.0);
   opt.parse(argc - 1, argv + 1);  // flags; positionals are ignored
+  if (opt.help) {
+    print_usage(argv[0]);
+    return 0;
+  }
   if (!opt.error.empty()) {
     std::fprintf(stderr, "iosim: %s\n", opt.error.c_str());
     return 2;

@@ -53,14 +53,6 @@ expt::Options effective_options(const Spec& spec, const expt::Options& req,
   return opt;
 }
 
-std::string run_body_once(const Spec& spec, const expt::Options& opt,
-                          JobBudget* budget) {
-  Context ctx(opt, opt.metrics_out, budget);
-  spec.run(ctx);
-  ctx.finish_metrics();
-  return ctx.output();
-}
-
 }  // namespace
 
 Outcome run_scenario(const Spec& spec, const expt::Options& opt,
@@ -68,45 +60,40 @@ Outcome run_scenario(const Spec& spec, const expt::Options& opt,
   Outcome out;
   out.spec = &spec;
   const auto t0 = std::chrono::steady_clock::now();
-  const int repeats = opt.repeat > 1 ? opt.repeat : 1;
   const bool gates_apply = !spec.wallclock;
-  if (!gates_apply && (repeats > 1 || !opt.golden.empty())) {
+  if (!gates_apply && (opt.repeat > 1 || !opt.golden.empty())) {
     out.note = "wall-clock scenario: --repeat/--golden gates skipped";
   }
+  const int runs = gates_apply && opt.repeat > 1 ? opt.repeat : 1;
 
   try {
-    Context ctx(opt, opt.metrics_out, budget);
-    spec.run(ctx);
-    ctx.finish_metrics();
-    out.output = ctx.output();
-    out.checks_ok = ctx.ok();
-
-    if (gates_apply) {
-      for (int k = 1; k < repeats; ++k) {
-        const std::string again = run_body_once(spec, opt, budget);
-        if (again != out.output) {
-          out.repeat_ok = false;
-          out.note = "run " + std::to_string(k + 1) +
-                     " diverged from run 1 at line " +
-                     std::to_string(first_diff_line(out.output, again));
-          break;
-        }
+    for (int k = 0; k < runs; ++k) {
+      Context ctx(opt, budget);
+      ctx.run(spec);
+      if (k == 0) {
+        out.output = ctx.output();
+        out.checks_ok = ctx.ok();
+      } else if (ctx.output() != out.output) {
+        out.repeat_ok = false;
+        out.note = "run " + std::to_string(k + 1) +
+                   " diverged from run 1 at line " +
+                   std::to_string(first_diff_line(out.output, ctx.output()));
+        break;
       }
-      if (out.repeat_ok && !opt.golden.empty()) {
-        std::ifstream f(opt.golden, std::ios::binary);
-        if (!f) {
+    }
+    if (gates_apply && out.repeat_ok && !opt.golden.empty()) {
+      std::ifstream f(opt.golden, std::ios::binary);
+      if (!f) {
+        out.golden_ok = false;
+        out.note = "golden file unreadable: " + opt.golden;
+      } else {
+        std::ostringstream want;
+        want << f.rdbuf();
+        if (want.str() != out.output) {
           out.golden_ok = false;
-          out.note = "golden file unreadable: " + opt.golden;
-        } else {
-          std::ostringstream want;
-          want << f.rdbuf();
-          if (want.str() != out.output) {
-            out.golden_ok = false;
-            out.note = "output differs from golden " + opt.golden +
-                       " at line " +
-                       std::to_string(
-                           first_diff_line(want.str(), out.output));
-          }
+          out.note = "output differs from golden " + opt.golden +
+                     " at line " +
+                     std::to_string(first_diff_line(want.str(), out.output));
         }
       }
     }

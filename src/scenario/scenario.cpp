@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "exp/report.hpp"
 #include "metrics/export.hpp"
 
 namespace scenario {
@@ -35,17 +36,35 @@ GridPoint grid_point(const std::vector<Axis>& grid, std::size_t index) {
 
 // -- Context ----------------------------------------------------------------
 
-Context::Context(const expt::Options& opt, std::string metrics_path,
-                 JobBudget* budget)
-    : opt_(opt),
-      metrics_path_(std::move(metrics_path)),
-      budget_(budget) {
-  if (opt_.metrics_enabled()) scope_ = new metrics::Scope(registry_);
-}
+Context::Context(const expt::Options& opt, JobBudget* budget)
+    : opt_(opt), budget_(budget) {}
 
-Context::~Context() {
-  delete scope_;
-  scope_ = nullptr;
+void Context::run(const Spec& spec) {
+  {
+    std::optional<metrics::Scope> scope;
+    if (opt_.metrics_enabled()) scope.emplace(registry_);
+    spec.run(*this);
+  }
+  if (opt_.audit) {
+    const audit::Totals& t = audit_totals_;
+    out_ << "audit: writes=" << t.writes_acked
+         << " reads=" << t.reads_checked
+         << " lost_updates=" << t.lost_updates
+         << " lost_bytes=" << t.lost_bytes
+         << " stale_reads=" << t.stale_reads
+         << " torn_writes=" << t.torn_writes
+         << " scrub_destroyed=" << t.scrub_destroyed
+         << " violations=" << t.violations() << "\n";
+  }
+  if (!opt_.metrics_out.empty()) {
+    if (metrics::write_json_file(registry_, opt_.metrics_out)) {
+      out_ << "metrics: wrote " << opt_.metrics_out << "\n";
+    } else {
+      std::fprintf(stderr, "metrics: FAILED to write %s\n",
+                   opt_.metrics_out.c_str());
+    }
+  }
+  if (opt_.metrics) out_ << expt::metrics_report(registry_);
 }
 
 void Context::printf(const char* fmt, ...) {
@@ -61,35 +80,14 @@ void Context::printf(const char* fmt, ...) {
   out_ << buf;
 }
 
-void Context::expect(bool ok, const std::string& what) {
-  out_ << "  [" << (ok ? "PASS" : "FAIL") << "] " << what << "\n";
-  all_ok_ = all_ok_ && ok;
+std::string Context::table(const expt::Table& t) const {
+  return opt_.csv ? t.csv() : t.str();
 }
 
-void Context::finish_metrics() {
-  if (metrics_done_) return;
-  metrics_done_ = true;
-  delete scope_;
-  scope_ = nullptr;
-  if (opt_.audit) {
-    const audit::Totals& t = audit_totals_;
-    out_ << "audit: writes=" << t.writes_acked
-         << " reads=" << t.reads_checked
-         << " lost_updates=" << t.lost_updates
-         << " lost_bytes=" << t.lost_bytes
-         << " stale_reads=" << t.stale_reads
-         << " torn_writes=" << t.torn_writes
-         << " scrub_destroyed=" << t.scrub_destroyed
-         << " violations=" << t.violations() << "\n";
-  }
-  if (!metrics_path_.empty()) {
-    if (metrics::write_json_file(registry_, metrics_path_)) {
-      out_ << "metrics: wrote " << metrics_path_ << "\n";
-    } else {
-      std::fprintf(stderr, "metrics: FAILED to write %s\n",
-                   metrics_path_.c_str());
-    }
-  }
+void Context::expect(bool ok, const std::string& what) {
+  if (!opt_.check) return;
+  out_ << "  [" << (ok ? "PASS" : "FAIL") << "] " << what << "\n";
+  all_ok_ = all_ok_ && ok;
 }
 
 void Context::for_each_point(std::size_t n,

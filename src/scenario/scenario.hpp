@@ -26,6 +26,7 @@
 
 #include "audit/audit.hpp"
 #include "exp/options.hpp"
+#include "exp/table.hpp"
 #include "metrics/metrics.hpp"
 
 namespace scenario {
@@ -103,19 +104,26 @@ struct Spec {
   std::function<void(Context&)> run;
 };
 
-/// Execution context handed to a scenario body.  Collects output text,
-/// shape-check results, and the merged metrics registry; fans points out
-/// on the driver's thread pool.
+/// Execution context handed to a scenario body.  Collects output text
+/// and shape-check results, fans points out on the driver's thread
+/// pool, and owns the epilogue every scenario shares (audit line,
+/// metrics JSON, metrics tables), so a body only renders its own
+/// tables and states its checks.
 class Context {
  public:
   /// `budget` may be null (serial) and is not owned.
-  Context(const expt::Options& opt, std::string metrics_path,
-          JobBudget* budget);
-  ~Context();
+  Context(const expt::Options& opt, JobBudget* budget);
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
   const expt::Options& opt() const { return opt_; }
+
+  /// Run `spec`'s body under the metrics registry (when --metrics or
+  /// --metrics-out is on), then append the epilogue, in this order:
+  /// the "audit: ..." summary of every per-point ledger (--audit), the
+  /// JSON file and its "metrics: wrote PATH" line (--metrics-out), and
+  /// the registry tables (--metrics).  Call once per Context.
+  void run(const Spec& spec);
 
   // -- output ---------------------------------------------------------
   void print(std::string_view s) { out_ << s; }
@@ -123,36 +131,22 @@ class Context {
   /// Raw stream for code that wants an std::ostream (micro reporters).
   std::ostream& stream() { return out_; }
   std::string output() const { return out_.str(); }
+  /// `t` rendered as CSV under --csv, as the ASCII table otherwise.
+  std::string table(const expt::Table& t) const;
 
   // -- shape checks ---------------------------------------------------
-  /// Prints "  [PASS]/[FAIL] what" (same format the bench binaries used)
-  /// and folds into ok().
+  /// Under --check, prints "  [PASS]/[FAIL] what" and folds into ok();
+  /// without --check, does nothing, so ok() stays true.
   void expect(bool ok, const std::string& what);
   bool ok() const { return all_ok_; }
 
-  // -- metrics --------------------------------------------------------
-  /// The scenario-wide registry: per-point registries merge into it in
-  /// point order after every map() call.  Only populated when the run
-  /// was started with --metrics/--metrics-out.
-  metrics::Registry& registry() { return registry_; }
-  /// Uninstall the body's metrics scope and, if --metrics-out was given,
-  /// write the JSON file and append the "metrics: wrote PATH" line.
-  /// Under --audit also appends the deterministic "audit: ..." summary
-  /// of every per-point ledger (merged in point order).  Idempotent;
-  /// called automatically after the body returns.
-  void finish_metrics();
-
-  // -- data-integrity audit -------------------------------------------
-  /// Per-point audit totals merged in point order (--audit only; empty
-  /// otherwise).  A scenario body that installs its OWN audit::Scope
-  /// inside a point diverts that point's events away from the --audit
-  /// ledger — its summary then reflects only the un-diverted points.
-  const audit::Totals& audit_totals() const { return audit_totals_; }
-
   // -- parallel points ------------------------------------------------
   /// Run fn(i) for i in [0, n) on up to --jobs threads.  Each point runs
-  /// under its own metrics::Registry (merged back in index order); the
-  /// first exception (by point index) is rethrown on this thread.
+  /// under its own metrics::Registry and, under --audit, its own
+  /// audit::Ledger; both fold back in index order.  A body that installs
+  /// its OWN audit::Scope inside a point diverts that point's events
+  /// away from the --audit summary.  The first exception (by point
+  /// index) is rethrown on this thread.
   void for_each_point(std::size_t n,
                       const std::function<void(std::size_t)>& fn);
 
@@ -165,17 +159,12 @@ class Context {
   }
 
  private:
-  friend class Runner;
-
   const expt::Options& opt_;
-  std::string metrics_path_;
   JobBudget* budget_;
   std::ostringstream out_;
   bool all_ok_ = true;
-  metrics::Registry registry_;
-  metrics::Scope* scope_ = nullptr;  // owned; installed iff metrics on
-  bool metrics_done_ = false;
-  audit::Totals audit_totals_;  // merged per-point totals (--audit)
+  metrics::Registry registry_;  // the body's; points merge in (metrics on)
+  audit::Totals audit_totals_;  // per-point ledger totals, merged (--audit)
 };
 
 /// Static registry of scenarios.  Instantiable for tests; the process-

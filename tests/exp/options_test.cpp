@@ -41,6 +41,20 @@ TEST(Options, AuditDefaultsOff) {
   EXPECT_FALSE(opt.audit);
 }
 
+// --help is the driver's to answer: parse only records it, so there is
+// one usage text and the parser never exits the process.
+TEST(Options, HelpSetsTheFlagAndPrintsNothing) {
+  for (const char* flag : {"--help", "-h"}) {
+    testing::internal::CaptureStdout();
+    const expt::Options opt = parse({"--check", flag});
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), "") << flag;
+    EXPECT_TRUE(opt.help) << flag;
+    EXPECT_TRUE(opt.error.empty()) << flag;
+    EXPECT_TRUE(opt.check) << flag;
+  }
+  EXPECT_FALSE(parse({"--check"}).help);
+}
+
 TEST(Options, RejectsUnknownLongFlag) {
   const expt::Options opt = parse({"--check", "--no-such-flag"});
   ASSERT_FALSE(opt.error.empty());

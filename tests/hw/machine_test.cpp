@@ -136,6 +136,21 @@ TEST(MachineConfig, ValidateRejectsImpossibleShapes) {
   EXPECT_NO_THROW(edge.validate());
 }
 
+TEST(MachineConfig, CrashSemanticsNeedPooledWriteBehind) {
+  MachineConfig cfg = MachineConfig::paragon_small(8, 2);
+  cfg.io.server.durability.crash_semantics = true;
+  ASSERT_TRUE(cfg.io.write_behind);
+  EXPECT_THROW(cfg.validate(), ConfigError);  // legacy flusher
+
+  cfg.io.server.writeback.mode = iosrv::WritebackMode::kPool;
+  EXPECT_NO_THROW(cfg.validate());
+
+  // Without write-behind no write sits in server memory: any mode works.
+  cfg.io.server.writeback.mode = iosrv::WritebackMode::kLegacy;
+  cfg.io.write_behind = false;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
 TEST(Machine, ConstructorValidates) {
   simkit::Engine eng;
   MachineConfig bad = MachineConfig::paragon_small(8, 2);

@@ -1,5 +1,6 @@
 // Tests for the scenario layer: registration rules, grid expansion
-// order, and the parallel-equals-serial determinism contract.
+// order, the shared run epilogue, and the parallel-equals-serial
+// determinism contract.
 #include "scenario/scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "exp/table.hpp"
+#include "metrics/metrics.hpp"
 #include "simkit/rng.hpp"
 
 namespace {
@@ -102,7 +105,7 @@ TEST(ScenarioGlobalRegistry, EveryScenarioHasADescription) {
 std::string run_body(int jobs) {
   expt::Options opt(1.0);
   scenario::JobBudget budget(jobs);
-  scenario::Context ctx(opt, "", &budget);
+  scenario::Context ctx(opt, &budget);
   const std::vector<double> vals =
       ctx.map<double>(64, [](std::size_t i) {
         simkit::Rng rng(0xC0FFEE + i);
@@ -132,8 +135,8 @@ std::string run_registered(int jobs) {
   EXPECT_NE(s, nullptr);
   expt::Options opt(0.1);
   scenario::JobBudget budget(jobs);
-  scenario::Context ctx(opt, "", &budget);
-  s->run(ctx);
+  scenario::Context ctx(opt, &budget);
+  ctx.run(*s);
   return ctx.output();
 }
 
@@ -154,8 +157,8 @@ std::string run_platform(int jobs) {
   EXPECT_NE(s, nullptr);
   expt::Options opt(s->default_scale);
   scenario::JobBudget budget(jobs);
-  scenario::Context ctx(opt, "", &budget);
-  s->run(ctx);
+  scenario::Context ctx(opt, &budget);
+  ctx.run(*s);
   return ctx.output();
 }
 
@@ -164,6 +167,74 @@ TEST(ScenarioParallel, PlatformScenarioParallelEqualsSerial) {
   const std::string parallel = run_platform(8);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
+}
+
+// The shared epilogue: shape checks print and count only under --check,
+// tables follow --csv, and --metrics appends the registry tables after
+// everything the body printed.
+TEST(ScenarioContext, ExpectIsSilentWithoutCheck) {
+  const expt::Options opt(1.0);
+  scenario::Context ctx(opt, nullptr);
+  ctx.expect(false, "a failing shape");
+  EXPECT_EQ(ctx.output(), "");
+  EXPECT_TRUE(ctx.ok());
+}
+
+TEST(ScenarioContext, ExpectPrintsAndFoldsUnderCheck) {
+  expt::Options opt(1.0);
+  opt.check = true;
+  scenario::Context ctx(opt, nullptr);
+  ctx.expect(true, "a passing shape");
+  EXPECT_TRUE(ctx.ok());
+  ctx.expect(false, "a failing shape");
+  EXPECT_EQ(ctx.output(),
+            "  [PASS] a passing shape\n  [FAIL] a failing shape\n");
+  EXPECT_FALSE(ctx.ok());
+}
+
+TEST(ScenarioContext, TableFollowsCsv) {
+  expt::Table t({"a", "b"});
+  t.add_row({"1", "2"});
+  const expt::Options ascii_opt(1.0);
+  scenario::Context ascii(ascii_opt, nullptr);
+  EXPECT_EQ(ascii.table(t), t.str());
+  expt::Options csv_opt(1.0);
+  csv_opt.csv = true;
+  scenario::Context csv(csv_opt, nullptr);
+  EXPECT_EQ(csv.table(t), t.csv());
+}
+
+// A body that counts its one point in the ambient registry, then prints
+// a line and states a check.
+scenario::Spec counting_spec() {
+  scenario::Spec s = make_spec("counting");
+  s.run = [](scenario::Context& ctx) {
+    ctx.for_each_point(1, [](std::size_t) {
+      if (metrics::Registry* r = metrics::current()) {
+        r->counter("test.points").inc();
+      }
+    });
+    ctx.printf("body\n");
+    ctx.expect(true, "counted");
+  };
+  return s;
+}
+
+TEST(ScenarioContext, RunAppendsMetricsTablesOnlyUnderMetrics) {
+  const scenario::Spec spec = counting_spec();
+  expt::Options plain(1.0);
+  plain.check = true;
+  scenario::Context quiet(plain, nullptr);
+  quiet.run(spec);
+  EXPECT_EQ(quiet.output(), "body\n  [PASS] counted\n");
+
+  expt::Options with_metrics = plain;
+  with_metrics.metrics = true;
+  scenario::Context loud(with_metrics, nullptr);
+  loud.run(spec);
+  const std::string out = loud.output();
+  EXPECT_EQ(out.rfind("body\n  [PASS] counted\n| counter", 0), 0u) << out;
+  EXPECT_NE(out.find("| test.points | 1 "), std::string::npos) << out;
 }
 
 TEST(ScenarioJobBudget, AcquireNeverOversubscribes) {
