@@ -13,8 +13,11 @@
 //   * idx_of(t) = floor(t * 1/w) is the only bucket-mapping expression.
 //     It is monotone in t and a pure function of t, so equal-t events
 //     always share a bucket and cross-bucket ties cannot exist.
-//   * Every bucket is kept sorted ascending by (t, seq) past a consumed
-//     head cursor; the head element is the bucket minimum.
+//   * A bucket's live range [head, end) is a sorted run [head, sorted)
+//     followed by an unsorted tail [sorted, end) of out-of-order
+//     arrivals.  The pop-side scan sorts the tail and merges it into
+//     the run when it visits the bucket (tidy()), so once visited the
+//     head element is the bucket minimum.
 //   * cur_idx_ (the absolute bucket index being scanned) is <= the
 //     index of every live calendar event: pushes re-anchor it downward,
 //     pops advance it only past buckets with no event in that window.
@@ -34,9 +37,10 @@
 namespace simkit {
 
 /// The engine's previous scheduler, kept as an A/B reference: build
-/// with -DSIMKIT_HEAP_QUEUE to swap it back in (see bench/baseline/
-/// README.md for the scheduler-isolated comparison procedure).  Same
-/// interface and the same exact (t, seq) pop order as CalendarQueue.
+/// with -DSIMKIT_HEAP_QUEUE to swap it back in.  `python3 e2ebench/ab.py`
+/// runs the end-to-end A/B on the benchmark workloads, and bench/
+/// baseline/README.md has the `engine_bench` procedure.  Same interface
+/// and the same exact (t, seq) pop order as CalendarQueue.
 template <class Payload>
 class HeapQueue {
  public:
@@ -204,12 +208,13 @@ class CalendarQueue {
                idx_of(b.v[b.head].t) == cur_idx_);
       if (b.head == b.v.size()) {
         b.v.clear();
-        b.head = 0;
+        b.head = b.sorted = 0;
       } else if (b.head >= 64 && b.head * 2 >= b.v.size()) {
         // Compact a long-consumed prefix so a bucket holding far-future
         // stragglers does not grow without bound.
         b.v.erase(b.v.begin(),
                   b.v.begin() + static_cast<std::ptrdiff_t>(b.head));
+        b.sorted -= b.head;
         b.head = 0;
       }
     }
@@ -228,8 +233,8 @@ class CalendarQueue {
 
   struct Bucket {
     std::vector<Ev> v;
-    std::size_t head = 0;  // elements before head have been popped
-    bool dirty = false;    // live range not sorted; tidy() before reading
+    std::size_t head = 0;    // elements before head have been popped
+    std::size_t sorted = 0;  // end of the sorted run; tidy() before reading
   };
   struct HeapCmp {  // std:: heap is a max-heap; invert for min-(t, seq)
     bool operator()(const Ev& a, const Ev& b) const noexcept {
@@ -296,26 +301,48 @@ class CalendarQueue {
     ++cal_size_;
     if (idx < cur_idx_) cur_idx_ = idx;  // re-anchor the scan position
     Bucket& b = buckets_[idx & mask_];
-    // Push is append-only: out-of-order arrivals just mark the bucket
-    // dirty and the pop-side scan sorts the live range on first visit
-    // (tidy()).  Keeping the insert position search and memmove off
-    // the push path matters — the bucket is usually cache-cold, and a
-    // sorted insert touches all of it.
-    if (!b.v.empty() && !ev_less(b.v.back(), ev)) b.dirty = true;
+    // Push is append-only: an event ordering after the sorted run
+    // extends it, anything else joins the unsorted tail that the
+    // pop-side scan merges in on its next visit (tidy()).  Keeping the
+    // insert position search and memmove off the push path matters —
+    // the bucket is usually cache-cold, and a sorted insert touches all
+    // of it.
+    if (b.sorted == b.v.size() &&
+        (b.sorted == b.head || ev_less(b.v.back(), ev))) {
+      ++b.sorted;
+    }
     b.v.push_back(ev);
     if (cal_size_ > peak_cal_) peak_cal_ = cal_size_;
   }
 
-  /// Sort a bucket's live range if it has unsorted arrivals.  Buckets
-  /// stay small (the crowd trigger in push() rebuilds before any bucket
-  /// hoards a meaningful share of the population), so the sort is a few
-  /// cache lines that the caller is about to read anyway.
+  /// Fold a bucket's unsorted tail into its sorted run: sort the tail,
+  /// then merge it backward through `scratch_`.  The cost follows the
+  /// tail and the run elements that order after it, not the bucket
+  /// size, which matters where the crowd trigger cannot help: a pile of
+  /// two instants (a job stream's `now` and `now + 55 us`) shares one
+  /// bucket at any width the rest of the population sets, and its
+  /// same-instant wakeups keep appending behind the later half.  A tail
+  /// starts only with an event that orders before the run's last one,
+  /// so a nonempty tail always needs the merge.
   void tidy(Bucket& b) {
-    if (b.dirty) {
-      std::sort(b.v.begin() + static_cast<std::ptrdiff_t>(b.head), b.v.end(),
-                ev_less);
-      b.dirty = false;
+    if (b.sorted == b.v.size()) return;
+    const auto first = b.v.begin() + static_cast<std::ptrdiff_t>(b.head);
+    const auto mid = b.v.begin() + static_cast<std::ptrdiff_t>(b.sorted);
+    const auto last = b.v.end();
+    assert(first != mid);
+    std::sort(mid, last, ev_less);
+    scratch_.assign(mid, last);
+    auto run = mid;
+    auto out = last;
+    auto tail = scratch_.end();
+    while (tail != scratch_.begin()) {
+      if (run != first && ev_less(tail[-1], run[-1])) {
+        *--out = *--run;
+      } else {
+        *--out = *--tail;
+      }
     }
+    b.sorted = b.v.size();
   }
 
   /// Advance the horizon as the scan position moves forward, migrating
@@ -424,7 +451,7 @@ class CalendarQueue {
       live.insert(live.end(),
                   b.v.begin() + static_cast<std::ptrdiff_t>(b.head), b.v.end());
       b.v.clear();
-      b.head = 0;
+      b.head = b.sorted = 0;
     }
     const double width =
         force_width > 0.0 ? force_width : estimate_width(live);
@@ -476,6 +503,7 @@ class CalendarQueue {
 
   std::vector<Bucket> buckets_;
   std::vector<Ev> overflow_;  // min-heap by (t, seq) via HeapCmp
+  std::vector<Ev> scratch_;   // tidy()'s merge buffer for a bucket tail
   std::size_t mask_ = 0;
   double width_ = 1e-5;
   double inv_width_ = 1e5;

@@ -149,7 +149,7 @@ bool Engine::run_until(Time deadline) {
   while (!queue_.empty() && queue_.peek().t <= deadline) step();
   check_failures();
   if (queue_.empty()) return true;
-  now_ = deadline;
+  if (deadline > now_) now_ = deadline;  // never rewind the clock
   return false;
 }
 

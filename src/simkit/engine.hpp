@@ -223,7 +223,9 @@ class Engine {
   void run(std::uint64_t max_events = 0);
 
   /// Run until simulated time `deadline` (events at exactly `deadline`
-  /// still run).  Returns true if the queue drained before the deadline.
+  /// still run).  Returns true if the queue drained before the deadline;
+  /// otherwise the clock advances to `deadline`, or stays put if
+  /// `deadline` is already past.
   bool run_until(Time deadline);
 
   /// Process a single event; returns false if the queue is empty.

@@ -146,6 +146,22 @@ TEST(Engine, RunUntilStopsAtDeadline) {
   EXPECT_DOUBLE_EQ(eng.now(), 10.0);
 }
 
+TEST(Engine, RunUntilPastDeadlineKeepsClock) {
+  // A deadline the clock has already passed runs nothing and must not
+  // rewind now(): the pending event stays due after the current time.
+  Engine eng;
+  std::vector<double> log;
+  eng.spawn(record_at(eng, 10.0, log, 10.0));
+  EXPECT_FALSE(eng.run_until(5.0));
+  EXPECT_DOUBLE_EQ(eng.now(), 5.0);
+  EXPECT_FALSE(eng.run_until(2.0));
+  EXPECT_DOUBLE_EQ(eng.now(), 5.0);
+  EXPECT_TRUE(log.empty());
+  eng.run();
+  EXPECT_EQ(log, (std::vector<double>{10.0, 10.0}));
+  EXPECT_EQ(eng.clamped_schedules(), 0u);
+}
+
 TEST(Engine, ScheduleInThePastClampsOrAsserts) {
   // A past-time schedule is a caller bug (it reorders against
   // same-instant events): debug builds assert, release builds clamp to
