@@ -27,12 +27,13 @@ double run_exchange(double hop_us, double bw_mb) {
   hw::Machine machine(eng, cfg);
   return mprt::Cluster::execute(machine, 32, [](mprt::Comm& c)
                                                  -> simkit::Task<void> {
-    // Each rank ships 64 KB to every other rank (a 64 MB array
-    // redistribution).
-    std::vector<std::uint64_t> sizes(static_cast<std::size_t>(c.size()),
-                                     64 * 1024);
-    std::vector<std::span<const std::byte>> no_payloads;
-    auto msgs = co_await mprt::alltoallv(c, sizes, no_payloads);
+    // Each rank ships 64 KB to every rank (a 64 MB array
+    // redistribution), timing only.
+    std::vector<mprt::Outgoing> sends;
+    for (mprt::Rank d = 0; d < c.size(); ++d) {
+      sends.push_back({d, 64 * 1024, {}});
+    }
+    auto msgs = co_await mprt::alltoallv(c, std::move(sends));
     (void)msgs;
   });
 }

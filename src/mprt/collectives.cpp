@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 #include "metrics/metrics.hpp"
 
@@ -164,60 +165,40 @@ std::vector<Block> decode_blocks(std::span<const std::byte> frame) {
   return out;
 }
 
-/// Rank r's outbound blocks (self excluded — delivered locally), with
-/// zero-size blocks skipped: routed topologies do not pay wire headers
-/// for nothing-to-say pairs.  Receivers reconstruct the empty messages.
-std::vector<Block> build_blocks(
-    Rank r, int p, const std::vector<std::uint64_t>& send_bytes,
-    const std::vector<std::span<const std::byte>>& payloads) {
+/// Rank r's outbound blocks, payloads moved out of `sends`; its block to
+/// itself stays there (delivered locally).  No block is empty, so routed
+/// topologies pay no wire headers for nothing-to-say pairs.
+std::vector<Block> build_blocks(Rank r, std::vector<Outgoing>& sends) {
   std::vector<Block> out;
-  for (int d = 0; d < p; ++d) {
-    if (d == r) continue;
-    const auto du = static_cast<std::size_t>(d);
-    if (send_bytes[du] == 0) continue;
-    Block b;
-    b.src = r;
-    b.dst = d;
-    b.sim_bytes = send_bytes[du];
-    if (!payloads.empty()) {
-      b.payload.assign(payloads[du].begin(), payloads[du].end());
-    }
-    out.push_back(std::move(b));
+  out.reserve(sends.size());
+  for (Outgoing& s : sends) {
+    if (s.dst != r) out.push_back({r, s.dst, s.bytes, std::move(s.payload)});
   }
   return out;
 }
 
-Message block_to_message(Block b, int tag) {
-  Message m;
-  m.src = b.src;
-  m.tag = tag;
-  m.bytes = b.sim_bytes;
-  m.payload = std::move(b.payload);
-  return m;
+/// The first block in `sends` whose dst is >= `dst`.
+std::vector<Outgoing>::iterator first_block_from(std::vector<Outgoing>& sends,
+                                                 Rank dst) {
+  return std::lower_bound(sends.begin(), sends.end(), dst,
+                          [](const Outgoing& s, Rank d) { return s.dst < d; });
 }
 
-/// Fill the self slot and any source that sent nothing, so every routing
-/// kind returns the same shape the flat exchange does: P messages indexed
-/// by source, empty ones included.
-void fill_missing(std::vector<Message>& out, Rank r, int p, int tag,
-                  const std::vector<std::uint64_t>& send_bytes,
-                  const std::vector<std::span<const std::byte>>& payloads) {
-  Message self;
-  self.src = r;
-  self.tag = tag;
-  self.bytes = send_bytes[static_cast<std::size_t>(r)];
-  if (!payloads.empty()) {
-    const auto& pay = payloads[static_cast<std::size_t>(r)];
-    self.payload.assign(pay.begin(), pay.end());
+void sort_by_source(std::vector<Message>& out) {
+  std::sort(out.begin(), out.end(), [](const Message& a, const Message& b) {
+    return a.src < b.src;
+  });
+}
+
+/// Ends a routed exchange: adds my block to myself, if I have one, and
+/// puts the hop-ordered arrivals in the source order alltoallv returns.
+void finish_routed(std::vector<Message>& out, Rank r, int tag,
+                   std::vector<Outgoing>& sends) {
+  const auto self = first_block_from(sends, r);
+  if (self != sends.end() && self->dst == r) {
+    out.push_back({r, tag, self->bytes, std::move(self->payload)});
   }
-  out[static_cast<std::size_t>(r)] = std::move(self);
-  for (int s = 0; s < p; ++s) {
-    Message& m = out[static_cast<std::size_t>(s)];
-    if (m.src < 0) {
-      m.src = s;
-      m.tag = tag;
-    }
-  }
+  sort_by_source(out);
 }
 
 /// Bruck store-and-forward: ceil(log2 P) rounds; in round k every rank
@@ -225,13 +206,12 @@ void fill_missing(std::vector<Message>& out, Rank r, int p, int tag,
 /// rank + 2^k.  P * ceil(log2 P) wire messages total — each block hops
 /// (and pays the network) once per set bit of its distance.
 simkit::Task<std::vector<Message>> alltoallv_bruck(
-    Comm& c, std::vector<std::uint64_t> send_bytes,
-    std::vector<std::span<const std::byte>> payloads) {
+    Comm& c, std::vector<Outgoing> sends) {
   const int p = c.size();
   const Rank r = c.rank();
   A2aMeters meters;
-  std::vector<Message> out(static_cast<std::size_t>(p));
-  std::vector<Block> items = build_blocks(r, p, send_bytes, payloads);
+  std::vector<Message> out;
+  std::vector<Block> items = build_blocks(r, sends);
   int last_tag = Comm::kCollectiveTagBase;
   for (int k = 1; k < p; k <<= 1) {
     const int tag = c.next_collective_tag();
@@ -258,15 +238,14 @@ simkit::Task<std::vector<Message>> alltoallv_bruck(
     auto arrived = decode_blocks(m.payload);
     for (auto& b : arrived) {
       if (b.dst == r) {
-        out[static_cast<std::size_t>(b.src)] =
-            block_to_message(std::move(b), tag);
+        out.push_back({b.src, tag, b.sim_bytes, std::move(b.payload)});
       } else {
         items.push_back(std::move(b));
       }
     }
   }
   assert(items.empty());
-  fill_missing(out, r, p, last_tag, send_bytes, payloads);
+  finish_routed(out, r, last_tag, sends);
   co_return out;
 }
 
@@ -275,8 +254,7 @@ simkit::Task<std::vector<Message>> alltoallv_bruck(
 /// to members (one message each) — ~2P + A^2 wire messages instead of
 /// P^2, at the price of every byte crossing the network an extra time.
 simkit::Task<std::vector<Message>> alltoallv_twolevel(
-    Comm& c, std::vector<std::uint64_t> send_bytes,
-    std::vector<std::span<const std::byte>> payloads) {
+    Comm& c, std::vector<Outgoing> sends) {
   const int p = c.size();
   const Rank r = c.rank();
   A2aMeters meters;
@@ -288,8 +266,8 @@ simkit::Task<std::vector<Message>> alltoallv_twolevel(
   const int tag_x = c.next_collective_tag();
   const int tag_down = c.next_collective_tag();
 
-  std::vector<Message> out(static_cast<std::size_t>(p));
-  std::vector<Block> mine = build_blocks(r, p, send_bytes, payloads);
+  std::vector<Message> out;
+  std::vector<Block> mine = build_blocks(r, sends);
 
   if (r != my_leader) {
     std::vector<std::byte> frame;
@@ -301,8 +279,7 @@ simkit::Task<std::vector<Message>> alltoallv_twolevel(
     auto arrived = decode_blocks(down.payload);
     for (auto& b : arrived) {
       assert(b.dst == r);
-      out[static_cast<std::size_t>(b.src)] =
-          block_to_message(std::move(b), tag_down);
+      out.push_back({b.src, tag_down, b.sim_bytes, std::move(b.payload)});
     }
   } else {
     // Collect the group's blocks (members in rank order).
@@ -345,8 +322,7 @@ simkit::Task<std::vector<Message>> alltoallv_twolevel(
         static_cast<std::size_t>(group_end - my_leader));
     for (auto& b : local) {
       if (b.dst == r) {
-        out[static_cast<std::size_t>(b.src)] =
-            block_to_message(std::move(b), tag_down);
+        out.push_back({b.src, tag_down, b.sim_bytes, std::move(b.payload)});
       } else {
         per_member[static_cast<std::size_t>(b.dst - my_leader)].push_back(
             std::move(b));
@@ -361,36 +337,40 @@ simkit::Task<std::vector<Message>> alltoallv_twolevel(
       co_await c.send(mr, tag_down, sim, frame);
     }
   }
-  fill_missing(out, r, p, tag_down, send_bytes, payloads);
+  finish_routed(out, r, tag_down, sends);
   co_return out;
 }
 
 /// The historical flat exchange, kept byte-identical (same single tag,
-/// same shifted pairwise order, self included) for default-topology runs.
+/// same shifted pairwise order, self included, one envelope per pair even
+/// when it carries 0 bytes) for default-topology runs.
 simkit::Task<std::vector<Message>> alltoallv_flat(
-    Comm& c, std::vector<std::uint64_t> send_bytes,
-    std::vector<std::span<const std::byte>> payloads) {
+    Comm& c, std::vector<Outgoing> sends) {
   const int p = c.size();
   const int tag = c.next_collective_tag();
   const Rank r = c.rank();
   A2aMeters meters;
-  std::vector<Message> out(static_cast<std::size_t>(p));
+  std::vector<Message> out;
 
   // Shifted pairwise exchange: step k talks to (r+k) / (r-k).  Eager sends
-  // make the sequential send-then-recv per step deadlock-free.
+  // make the sequential send-then-recv per step deadlock-free.  The
+  // destinations run r, r+1, ..., P-1, 0, ..., r-1, so `next` walks the
+  // ascending `sends` from the first dst >= r and wraps with them; a
+  // pair with no block sends `none`, an empty envelope.
+  const Outgoing none;
+  auto next = first_block_from(sends, r);
   for (int k = 0; k < p; ++k) {
     const Rank dst = (r + k) % p;
     const Rank src = (r - k % p + p) % p;
-    const auto d = static_cast<std::size_t>(dst);
-    // Plain if, not a ternary: GCC 12 miscompiles conditional-expression
-    // operands inside co_await argument lists.
-    std::span<const std::byte> pay;
-    if (!payloads.empty()) pay = payloads[d];
-    meters.note(send_bytes[d]);
-    co_await c.send(dst, tag, send_bytes[d], pay);
+    if (dst == 0) next = sends.begin();
+    const Outgoing* block = &none;
+    if (next != sends.end() && next->dst == dst) block = &*next++;
+    meters.note(block->bytes);
+    co_await c.send(dst, tag, block->bytes, block->payload);
     Message m = co_await c.recv(src, tag);
-    out[static_cast<std::size_t>(src)] = std::move(m);
+    if (m.bytes > 0) out.push_back(std::move(m));
   }
+  sort_by_source(out);  // they arrived from r, r-1, ..., 0, P-1, ..., r+1
   co_return out;
 }
 
@@ -412,23 +392,26 @@ std::vector<Rank> two_level_leaders(int p, int width) {
   return out;
 }
 
-simkit::Task<std::vector<Message>> alltoallv(
-    Comm& c, std::vector<std::uint64_t> send_bytes,
-    std::vector<std::span<const std::byte>> payloads) {
-  assert(send_bytes.size() == static_cast<std::size_t>(c.size()));
-  assert(payloads.empty() ||
-         payloads.size() == static_cast<std::size_t>(c.size()));
+simkit::Task<std::vector<Message>> alltoallv(Comm& c,
+                                             std::vector<Outgoing> sends) {
+  Rank prev = -1;
+  for (const Outgoing& s : sends) {
+    if (s.dst <= prev || s.dst >= c.size() || s.bytes == 0 ||
+        s.payload.size() > s.bytes) {
+      throw std::invalid_argument(
+          "alltoallv: sends need ascending unique dst in [0, P), "
+          "bytes > 0, payload size <= bytes");
+    }
+    prev = s.dst;
+  }
   const CollectiveTopology::Kind kind = c.topology().kind;
   if (kind == CollectiveTopology::Kind::kBruck) {
-    co_return co_await alltoallv_bruck(c, std::move(send_bytes),
-                                       std::move(payloads));
+    co_return co_await alltoallv_bruck(c, std::move(sends));
   }
   if (kind == CollectiveTopology::Kind::kTwoLevel) {
-    co_return co_await alltoallv_twolevel(c, std::move(send_bytes),
-                                          std::move(payloads));
+    co_return co_await alltoallv_twolevel(c, std::move(sends));
   }
-  co_return co_await alltoallv_flat(c, std::move(send_bytes),
-                                    std::move(payloads));
+  co_return co_await alltoallv_flat(c, std::move(sends));
 }
 
 namespace {

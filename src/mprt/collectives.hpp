@@ -31,24 +31,32 @@ simkit::Task<std::vector<Message>> gatherv(
     Comm& c, Rank root, std::uint64_t my_bytes,
     std::span<const std::byte> payload = {});
 
-/// Personalized all-to-all: rank r sends send_bytes[d] to each rank d.
-/// Returns P messages indexed by source.  `payloads`, when non-empty,
-/// supplies per-destination real content.
+/// One block of a personalized all-to-all: `bytes` simulated bytes for
+/// rank `dst`, with `payload` as real content (empty, or at most `bytes`
+/// long, as for Comm::send).
+struct Outgoing {
+  Rank dst = -1;
+  std::uint64_t bytes = 0;
+  std::vector<std::byte> payload;
+};
+
+/// Personalized all-to-all over sparse lists.  `sends` holds this rank's
+/// blocks, `dst` ascending and unique, `bytes > 0`, its block to itself
+/// included; any other list throws std::invalid_argument (an O(blocks)
+/// check, on in every build).  Returns only the messages with bytes > 0
+/// addressed to this rank, ascending by source, its own included.
 ///
 /// Routing follows the cluster's CollectiveTopology: kFlat is the
-/// historical shifted pairwise exchange (P messages per rank), kBruck
-/// store-and-forwards in ceil(log2 P) rounds, kTwoLevel routes through
-/// group leaders (~2P + A^2 messages total for A groups).  All three
-/// deliver identical buffers; only message counts and timing differ.
-/// Wire traffic is metered as mprt.alltoall.msgs / mprt.alltoall.bytes
-/// when a metrics registry is installed.
-///
-/// Parameters are taken BY VALUE deliberately: a coroutine must not bind
-/// references to caller temporaries (and GCC 12 additionally miscompiles
-/// non-trivially-destructible default arguments of coroutine calls).
-simkit::Task<std::vector<Message>> alltoallv(
-    Comm& c, std::vector<std::uint64_t> send_bytes,
-    std::vector<std::span<const std::byte>> payloads = {});
+/// historical shifted pairwise exchange (P messages per rank, an empty
+/// envelope for a pair with no block), kBruck store-and-forwards in
+/// ceil(log2 P) rounds, kTwoLevel routes through group leaders (~2P + A^2
+/// messages total for A groups).  All three deliver identical lists; only
+/// message counts and timing differ.  Wire traffic is metered as
+/// mprt.alltoall.msgs / mprt.alltoall.bytes when a metrics registry is
+/// installed.  `sends` is taken BY VALUE: a coroutine must not bind
+/// references to caller temporaries.
+simkit::Task<std::vector<Message>> alltoallv(Comm& c,
+                                             std::vector<Outgoing> sends);
 
 /// Effective kTwoLevel group width for a P-rank cluster: the topology's
 /// group_size clamped to [1, P], or ceil(sqrt(P)) when it is 0.

@@ -50,8 +50,9 @@ struct CollectiveTopology {
   };
   Kind kind = Kind::kFlat;
   /// kTwoLevel group width G: ranks [g*G, (g+1)*G) route through their
-  /// leader, rank g*G.  0 picks ceil(sqrt(P)), which minimizes the
-  /// 2P + (P/G)^2*... message total for a square machine.
+  /// leader, rank g*G.  An exchange sends 2(P - A) + A(A - 1) messages
+  /// for A = ceil(P/G) groups.  0 picks G = ceil(sqrt(P)), which balances
+  /// each leader's G - 1 member messages against its A - 1 peer leaders.
   int group_size = 0;
 };
 

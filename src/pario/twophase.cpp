@@ -89,27 +89,37 @@ std::size_t records_size(const std::vector<Extent>& recs) {
 // Metadata step: agree on the accessed range and who owns which part.
 // ---------------------------------------------------------------------------
 
+/// Every rank's sorted pieces in one array: rank s's pieces are
+/// extents[rows[s], rows[s + 1]).
+struct ExtentTable {
+  std::vector<std::size_t> rows;  // P + 1 offsets into `extents`
+  std::vector<Extent> extents;
+
+  std::span<const Extent> of(std::size_t s) const {
+    return std::span<const Extent>(extents).subspan(rows[s],
+                                                    rows[s + 1] - rows[s]);
+  }
+};
+
 /// Every rank learns every rank's (sorted) piece list: gatherv to rank 0
 /// plus a broadcast of [P x u64 counts][all pairs] — the same global-view
 /// step MPI-IO implementations perform.
-simkit::Task<std::vector<std::vector<Extent>>> allgather_extents(
-    mprt::Comm& c, const std::vector<Extent>& mine) {
-  const int p = c.size();
+simkit::Task<ExtentTable> allgather_extents(mprt::Comm& c,
+                                            const std::vector<Extent>& mine) {
+  const auto p = static_cast<std::size_t>(c.size());
   std::vector<std::byte> my_bytes;
   put_pairs(my_bytes, mine);
   auto gathered = co_await mprt::gatherv(c, 0, my_bytes.size(), my_bytes);
 
   std::vector<std::byte> table;
   if (c.rank() == 0) {
-    table.resize(static_cast<std::size_t>(p) * 8);
-    for (int r = 0; r < p; ++r) {
-      const std::uint64_t n = gathered[static_cast<std::size_t>(r)].payload
-                                  .size() / 16;
-      std::memcpy(table.data() + static_cast<std::size_t>(r) * 8, &n, 8);
+    table.resize(p * 8);
+    for (std::size_t r = 0; r < p; ++r) {
+      const std::uint64_t n = gathered[r].payload.size() / 16;
+      std::memcpy(table.data() + r * 8, &n, 8);
     }
-    for (int r = 0; r < p; ++r) {
-      auto& pay = gathered[static_cast<std::size_t>(r)].payload;
-      table.insert(table.end(), pay.begin(), pay.end());
+    for (const auto& m : gathered) {
+      table.insert(table.end(), m.payload.begin(), m.payload.end());
     }
   }
   std::uint64_t table_size = table.size();
@@ -119,15 +129,15 @@ simkit::Task<std::vector<std::vector<Extent>>> allgather_extents(
   table.resize(table_size);
   co_await mprt::bcast(c, 0, table_size, table);
 
-  std::vector<std::vector<Extent>> all(static_cast<std::size_t>(p));
-  std::size_t cursor = static_cast<std::size_t>(p) * 8;
-  for (int r = 0; r < p; ++r) {
+  ExtentTable all;
+  all.rows.resize(p + 1);
+  for (std::size_t r = 0; r < p; ++r) {
     std::uint64_t n = 0;
-    std::memcpy(&n, table.data() + static_cast<std::size_t>(r) * 8, 8);
-    all[static_cast<std::size_t>(r)] = get_pairs(
-        std::span<const std::byte>(table).subspan(cursor), n);
-    cursor += n * 16;
+    std::memcpy(&n, table.data() + r * 8, 8);
+    all.rows[r + 1] = all.rows[r] + n;
   }
+  all.extents =
+      get_pairs(std::span<const std::byte>(table).subspan(p * 8), all.rows[p]);
   co_return all;
 }
 
@@ -186,7 +196,7 @@ struct Plan {
   int naggs = 0;
   int width = 1;
   bool records = false;
-  std::vector<std::vector<Extent>> table;  // flat: every rank's pieces
+  ExtentTable table;  // flat: every rank's pieces
 };
 
 /// Sorts my pieces and runs the metadata step both directions share.
@@ -212,11 +222,9 @@ simkit::Task<Plan> make_plan(mprt::Comm& comm, pfs::StripedFs& fs,
   } else {
     plan.table = co_await allgather_extents(comm, mine);
     plan.naggs = aggregators > 0 && aggregators <= p ? aggregators : p;
-    for (const auto& v : plan.table) {
-      for (const auto& e : v) {
-        bounds.first = std::min(bounds.first, e.file_offset);
-        bounds.second = std::max(bounds.second, e.file_end());
-      }
+    for (const auto& e : plan.table.extents) {
+      bounds.first = std::min(bounds.first, e.file_offset);
+      bounds.second = std::max(bounds.second, e.file_end());
     }
   }
   plan.dom = make_domains(bounds.first, bounds.second, plan.naggs,
@@ -226,7 +234,7 @@ simkit::Task<Plan> make_plan(mprt::Comm& comm, pfs::StripedFs& fs,
 }
 
 /// Piece lists keyed by peer rank, holding only non-empty lists.
-using PeerPieces = std::vector<std::pair<std::size_t, std::vector<Extent>>>;
+using PeerPieces = std::vector<std::pair<mprt::Rank, std::vector<Extent>>>;
 
 /// My pieces cut by file domain, keyed by the owning aggregator.
 PeerPieces by_domain(const Plan& plan, const std::vector<Extent>& mine) {
@@ -234,30 +242,38 @@ PeerPieces by_domain(const Plan& plan, const std::vector<Extent>& mine) {
   for (int a = 0; a < plan.naggs; ++a) {
     const auto [lo, hi] = plan.dom.of(a);
     auto subs = TwoPhase::intersect(mine, lo, hi);
-    if (!subs.empty()) {
-      out.emplace_back(static_cast<std::size_t>(a * plan.width),
-                       std::move(subs));
-    }
+    if (!subs.empty()) out.emplace_back(a * plan.width, std::move(subs));
   }
   return out;
 }
 
-/// Each source's pieces inside this rank's file domain: cut from the
-/// replicated table, which is then released, or decoded from the records
-/// that arrived inline in `in`.
+/// Each source's pieces inside this rank's file domain: decoded from the
+/// records that arrived inline in `in`, one message per source, or cut
+/// from the replicated table, which every rank then releases.
 PeerPieces by_source(Plan& plan, const mprt::Comm& comm,
                      const std::vector<mprt::Message>& in) {
+  const ExtentTable table = std::move(plan.table);
   PeerPieces out;
   if (comm.rank() % plan.width != 0) return out;  // not an aggregator
   const auto [lo, hi] = plan.dom.of(comm.rank() / plan.width);
-  const auto p = static_cast<std::size_t>(comm.size());
-  for (std::size_t s = 0; s < p; ++s) {
-    auto subs = plan.records ? decode_records(in[s].payload)
-                             : TwoPhase::intersect(plan.table[s], lo, hi);
+  const std::size_t n = plan.records ? in.size() : table.rows.size() - 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const mprt::Rank s = plan.records ? in[i].src : static_cast<mprt::Rank>(i);
+    auto subs = plan.records ? decode_records(in[i].payload)
+                             : TwoPhase::intersect(table.of(i), lo, hi);
     if (!subs.empty()) out.emplace_back(s, std::move(subs));
   }
-  plan.table = {};
   return out;
+}
+
+/// What `src` sent in an alltoallv result; empty if it sent no bytes.
+std::span<const std::byte> payload_from(const std::vector<mprt::Message>& in,
+                                        mprt::Rank src) {
+  const auto it = std::lower_bound(
+      in.begin(), in.end(), src,
+      [](const mprt::Message& m, mprt::Rank s) { return m.src < s; });
+  if (it == in.end() || it->src != src) return {};
+  return it->payload;
 }
 
 /// Merged runs covering every source's pieces.
@@ -306,13 +322,10 @@ std::byte* run_bytes(const std::vector<Extent>& runs,
 simkit::Task<std::vector<mprt::Message>> to_aggregators(
     mprt::Comm& comm, const Plan& plan, const PeerPieces& mine,
     std::span<const std::byte> data, bool write) {
-  const auto p = static_cast<std::size_t>(comm.size());
-  std::vector<std::uint64_t> send_bytes(p, 0);
-  std::vector<std::vector<std::byte>> store(p);
-  std::vector<std::span<const std::byte>> views(p);
+  std::vector<mprt::Outgoing> sends;
   std::uint64_t packed = 0;
   for (const auto& [dst, subs] : mine) {
-    auto& buf = store[dst];
+    std::vector<std::byte> buf;
     if (plan.records) buf = encode_records(subs);
     const std::uint64_t bytes = total_length(subs);
     if (!data.empty()) {
@@ -322,16 +335,15 @@ simkit::Task<std::vector<mprt::Message>> to_aggregators(
                    data.begin() + s.buf_offset + s.length);
       }
     }
-    send_bytes[dst] =
+    const std::uint64_t sim =
         (plan.records ? records_size(subs) : 0) + (write ? bytes : 0);
-    if (!buf.empty()) views[dst] = buf;
-    packed += send_bytes[dst];
+    sends.push_back({dst, sim, std::move(buf)});
+    packed += sim;
   }
   co_await comm.machine().mem_copy(packed);  // pack pass
   // By value, moved: a temporary vector passed through co_await trips a
   // GCC 12 coroutine temporary-lifetime bug.
-  co_return co_await mprt::alltoallv(comm, std::move(send_bytes),
-                                     std::move(views));
+  co_return co_await mprt::alltoallv(comm, std::move(sends));
 }
 
 /// Phase 1: one large file-system call per merged run, moving real bytes
@@ -387,7 +399,7 @@ simkit::Task<std::exception_ptr> io_phase(
 
 }  // namespace
 
-std::vector<Extent> TwoPhase::intersect(const std::vector<Extent>& pieces,
+std::vector<Extent> TwoPhase::intersect(std::span<const Extent> pieces,
                                         std::uint64_t lo, std::uint64_t hi) {
   std::vector<Extent> out;
   for (const auto& e : pieces) {
@@ -446,7 +458,7 @@ simkit::Task<void> TwoPhase::write(mprt::Comm& comm, pfs::StripedFs& fs,
   auto run_bufs = run_buffers(runs, backed);
   std::uint64_t unpacked = 0;
   for (const auto& [src, subs] : sources) {
-    const auto& pay = received[src].payload;
+    const auto pay = payload_from(received, src);
     std::size_t cursor = plan.records ? records_size(subs) : 0;
     for (const auto& sub : subs) {
       if (backed && pay.size() >= cursor + sub.length) {
@@ -482,7 +494,7 @@ simkit::Task<void> TwoPhase::read(mprt::Comm& comm, pfs::StripedFs& fs,
   const PeerPieces my_domains = by_domain(plan, mine);
   PeerPieces sources;
   {
-    // Scoped so the P-sized request buffers die before the reply round.
+    // Scoped so the request buffers die before the reply round.
     std::vector<mprt::Message> requests;
     if (plan.records) {
       const simkit::Time t_req = eng.now();
@@ -503,31 +515,25 @@ simkit::Task<void> TwoPhase::read(mprt::Comm& comm, pfs::StripedFs& fs,
 
   // ---- exchange phase: pieces back to their requesters -----------------
   const simkit::Time t_x = eng.now();
-  const auto p = static_cast<std::size_t>(comm.size());
-  std::vector<std::uint64_t> send_bytes(p, 0);
-  std::vector<std::vector<std::byte>> store(p);
-  std::vector<std::span<const std::byte>> views(p);
+  std::vector<mprt::Outgoing> sends;
   std::uint64_t packed = 0;
   for (const auto& [src, subs] : sources) {
-    send_bytes[src] = total_length(subs);
-    packed += send_bytes[src];
+    mprt::Outgoing& reply = sends.emplace_back(src, total_length(subs));
+    packed += reply.bytes;
     if (!backed) continue;
-    auto& buf = store[src];
-    buf.reserve(send_bytes[src]);
+    reply.payload.reserve(reply.bytes);
     for (const auto& sub : subs) {
       const std::byte* from = run_bytes(runs, run_bufs, sub);
-      buf.insert(buf.end(), from, from + sub.length);
+      reply.payload.insert(reply.payload.end(), from, from + sub.length);
     }
-    views[src] = buf;
   }
   co_await comm.machine().mem_copy(packed);  // pack pass
-  const auto replies = co_await mprt::alltoallv(comm, std::move(send_bytes),
-                                                std::move(views));
+  const auto replies = co_await mprt::alltoallv(comm, std::move(sends));
 
   // Scatter replies into my local buffer, in per-domain request order.
   std::uint64_t unpacked = 0;
   for (const auto& [agg, subs] : my_domains) {
-    const auto& pay = replies[agg].payload;
+    const auto pay = payload_from(replies, agg);
     std::size_t cursor = 0;
     for (const auto& sub : subs) {
       if (!local_out.empty() && pay.size() >= cursor + sub.length) {

@@ -87,7 +87,7 @@ class TwoPhase {
 
   /// Intersect (sorted) pieces with [lo, hi), preserving order and buffer
   /// mapping.
-  static std::vector<Extent> intersect(const std::vector<Extent>& pieces,
+  static std::vector<Extent> intersect(std::span<const Extent> pieces,
                                        std::uint64_t lo, std::uint64_t hi);
 
   /// Union of file ranges as maximal disjoint runs (overlaps/adjacency

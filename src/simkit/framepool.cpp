@@ -11,7 +11,6 @@ struct FreeBlock {
 
 struct Pool {
   FreeBlock* head[FramePool::kClasses] = {};
-  std::size_t count[FramePool::kClasses] = {};
   FramePool::Stats stats;
 
   ~Pool() {
@@ -46,7 +45,6 @@ void* FramePool::allocate(std::size_t bytes) {
   if (c < kClasses && p.head[c] != nullptr) {
     FreeBlock* b = p.head[c];
     p.head[c] = b->next;
-    --p.count[c];
     --p.stats.retained;
     ++p.stats.reuses;
     return b;
@@ -60,11 +58,10 @@ void FramePool::deallocate(void* ptr, std::size_t bytes) noexcept {
   Pool& p = t_pool;
   ++p.stats.deallocs;
   const std::size_t c = class_of(bytes);
-  if (c < kClasses && p.count[c] < kMaxPerClass) {
+  if (c < kClasses) {
     FreeBlock* b = static_cast<FreeBlock*>(ptr);
     b->next = p.head[c];
     p.head[c] = b;
-    ++p.count[c];
     ++p.stats.retained;
     return;
   }
@@ -82,7 +79,6 @@ void FramePool::drain() noexcept {
       b = next;
     }
     p.head[c] = nullptr;
-    p.count[c] = 0;
   }
   p.stats.retained = 0;
 }

@@ -14,6 +14,12 @@
 // than they were acquired on simply join that thread's pool — blocks
 // are plain ::operator new memory, owned by no thread.
 //
+// Every freed block is parked, with no per-class cap, so a class parks
+// no more blocks than it had live at its peak (frames freed where they
+// were made).  A cap would send the rest back to malloc: a 2048-rank
+// collective keeps thousands of same-class frames in flight, and every
+// wave of them would pay a malloc/free pair again.
+//
 // Frames larger than the largest size class (rare, pathological
 // coroutines) fall through to plain ::operator new/delete.
 #pragma once
@@ -27,7 +33,6 @@ class FramePool {
  public:
   static constexpr std::size_t kGranularity = 64;  // bytes per class step
   static constexpr std::size_t kClasses = 32;      // pools up to 2 KiB
-  static constexpr std::size_t kMaxPerClass = 512; // retained blocks cap
 
   static void* allocate(std::size_t bytes);
   static void deallocate(void* p, std::size_t bytes) noexcept;

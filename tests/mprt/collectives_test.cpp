@@ -7,6 +7,7 @@
 #include <cstring>
 #include <functional>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "hw/machine.hpp"
@@ -92,18 +93,13 @@ TEST_P(CollectiveSweep, AlltoallvExchangesPersonalizedData) {
   Cluster::execute(machine, p, [&](Comm& c) -> simkit::Task<void> {
     const int r = c.rank();
     // Rank r sends byte value (r*16+d) to destination d, length r+d+1.
-    std::vector<std::vector<std::byte>> bufs(static_cast<std::size_t>(p));
-    std::vector<std::uint64_t> sizes(static_cast<std::size_t>(p));
-    std::vector<std::span<const std::byte>> views(
-        static_cast<std::size_t>(p));
+    std::vector<Outgoing> sends;
     for (int d = 0; d < p; ++d) {
-      auto& b = bufs[static_cast<std::size_t>(d)];
-      b.assign(static_cast<std::size_t>(r + d + 1),
-               static_cast<std::byte>(r * 16 + d));
-      sizes[static_cast<std::size_t>(d)] = b.size();
-      views[static_cast<std::size_t>(d)] = b;
+      const auto n = static_cast<std::size_t>(r + d + 1);
+      sends.push_back({d, n, std::vector<std::byte>(
+                                 n, static_cast<std::byte>(r * 16 + d))});
     }
-    auto msgs = co_await alltoallv(c, sizes, views);
+    auto msgs = co_await alltoallv(c, std::move(sends));
     bool all_good = msgs.size() == static_cast<std::size_t>(p);
     for (int s = 0; s < p && all_good; ++s) {
       const auto& m = msgs[static_cast<std::size_t>(s)];
@@ -196,6 +192,12 @@ std::uint64_t pair_size(int r, int d, unsigned seed) {
   return v % 300;
 }
 
+std::byte pair_byte(int r, int d, unsigned seed) {
+  return static_cast<std::byte>(r * 16 + d + static_cast<int>(seed));
+}
+
+// Every rank sends its non-empty pairs as a sparse list and returns what
+// it received.
 std::vector<std::vector<Delivery>> run_alltoallv(CollectiveTopology topo,
                                                  int p, unsigned seed,
                                                  bool with_payloads) {
@@ -208,22 +210,14 @@ std::vector<std::vector<Delivery>> run_alltoallv(CollectiveTopology topo,
   const std::function<simkit::Task<void>(Comm&)> body =
       [&](Comm& c) -> simkit::Task<void> {
     const int r = c.rank();
-    std::vector<std::vector<std::byte>> bufs(static_cast<std::size_t>(p));
-    std::vector<std::uint64_t> sizes(static_cast<std::size_t>(p));
-    std::vector<std::span<const std::byte>> views(
-        static_cast<std::size_t>(p));
+    std::vector<Outgoing> sends;
     for (int d = 0; d < p; ++d) {
-      const auto du = static_cast<std::size_t>(d);
-      sizes[du] = pair_size(r, d, seed);
-      if (with_payloads) {
-        bufs[du].assign(sizes[du],
-                        static_cast<std::byte>((r * 16 + d + seed)));
-        views[du] = bufs[du];
-      }
+      const std::uint64_t size = pair_size(r, d, seed);
+      if (size == 0) continue;
+      Outgoing& o = sends.emplace_back(d, size);
+      if (with_payloads) o.payload.assign(size, pair_byte(r, d, seed));
     }
-    std::vector<std::span<const std::byte>> pass;
-    if (with_payloads) pass = views;
-    auto msgs = co_await alltoallv(c, sizes, pass);
+    auto msgs = co_await alltoallv(c, std::move(sends));
     auto& mine = got[static_cast<std::size_t>(r)];
     for (auto& m : msgs) {
       mine.push_back(Delivery{m.src, m.bytes, std::move(m.payload)});
@@ -234,6 +228,21 @@ std::vector<std::vector<Delivery>> run_alltoallv(CollectiveTopology topo,
   return got;
 }
 
+// What rank r must receive: one delivery per non-empty pair (s, r),
+// ascending by source, its own pair included.
+std::vector<Delivery> expected_for(int r, int p, unsigned seed,
+                                   bool with_payloads) {
+  std::vector<Delivery> want;
+  for (int s = 0; s < p; ++s) {
+    const std::uint64_t size = pair_size(s, r, seed);
+    if (size == 0) continue;
+    std::vector<std::byte> payload;
+    if (with_payloads) payload.assign(size, pair_byte(s, r, seed));
+    want.push_back(Delivery{s, size, std::move(payload)});
+  }
+  return want;
+}
+
 class TopologySweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(TopologySweep, RoutedAlltoallvMatchesFlat) {
@@ -241,6 +250,11 @@ TEST_P(TopologySweep, RoutedAlltoallvMatchesFlat) {
   for (unsigned seed : {7u, 19u}) {
     const auto flat =
         run_alltoallv({CollectiveTopology::Kind::kFlat, 0}, p, seed, true);
+    for (int r = 0; r < p; ++r) {
+      EXPECT_EQ(flat[static_cast<std::size_t>(r)],
+                expected_for(r, p, seed, true))
+          << "flat p=" << p << " rank=" << r << " seed=" << seed;
+    }
     const auto bruck =
         run_alltoallv({CollectiveTopology::Kind::kBruck, 0}, p, seed, true);
     EXPECT_EQ(bruck, flat) << "bruck p=" << p << " seed=" << seed;
@@ -265,13 +279,10 @@ TEST_P(TopologySweep, RoutedTimingOnlyExchangeKeepsSimSizes) {
   const auto two =
       run_alltoallv({CollectiveTopology::Kind::kTwoLevel, 0}, p, 3u, false);
   for (int r = 0; r < p; ++r) {
-    for (int s = 0; s < p; ++s) {
-      const auto ru = static_cast<std::size_t>(r);
-      const auto su = static_cast<std::size_t>(s);
-      EXPECT_EQ(flat[ru][su].bytes, pair_size(s, r, 3u));
-      EXPECT_EQ(bruck[ru][su].bytes, flat[ru][su].bytes);
-      EXPECT_EQ(two[ru][su].bytes, flat[ru][su].bytes);
-    }
+    const auto ru = static_cast<std::size_t>(r);
+    EXPECT_EQ(flat[ru], expected_for(r, p, 3u, false)) << "rank " << r;
+    EXPECT_EQ(bruck[ru], flat[ru]) << "rank " << r;
+    EXPECT_EQ(two[ru], flat[ru]) << "rank " << r;
   }
 }
 
@@ -306,6 +317,31 @@ TEST(Collectives, TwoLevelMessageCountGrowsLinearly) {
   const std::uint64_t bruck64 =
       alltoallv_msgs({CollectiveTopology::Kind::kBruck, 0}, 64);
   EXPECT_EQ(bruck64, 64u * 6u);
+}
+
+TEST(Collectives, AlltoallvRejectsBadSends) {
+  simkit::Engine eng;
+  hw::Machine machine(eng, hw::MachineConfig::paragon_small(4, 2));
+  const std::vector<std::byte> three(3);
+  const std::vector<std::vector<Outgoing>> bad = {
+      {{1, 8, {}}, {1, 8, {}}},  // duplicate dst
+      {{2, 8, {}}, {1, 8, {}}},  // descending
+      {{4, 8, {}}},              // dst == P
+      {{-1, 8, {}}},             // negative dst
+      {{1, 0, {}}},              // empty block
+      {{1, 2, three}},           // payload longer than the block
+  };
+  int rejected = 0;
+  Cluster::execute(machine, 4, [&](Comm& c) -> simkit::Task<void> {
+    for (const auto& sends : bad) {
+      try {
+        co_await alltoallv(c, sends);
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+      }
+    }
+  });
+  EXPECT_EQ(rejected, 4 * static_cast<int>(bad.size()));
 }
 
 TEST(Collectives, TwoLevelHelpers) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "hw/machine.hpp"
@@ -126,7 +127,10 @@ TEST(Comm, TransferTimeScalesWithBytes) {
 TEST(Comm, CountsTraffic) {
   Rig rig;
   Cluster cluster(rig.machine, 2);
-  rig.eng.spawn(cluster.run([](Comm& c) -> simkit::Task<void> {
+  // Named: Cluster::run is a lazy coroutine holding `body` by reference,
+  // so a temporary would die before the ranks start.
+  const std::function<simkit::Task<void>(Comm&)> body =
+      [](Comm& c) -> simkit::Task<void> {
     if (c.rank() == 0) {
       co_await c.send(1, 0, 500);
       co_await c.send(1, 0, 700);
@@ -134,7 +138,8 @@ TEST(Comm, CountsTraffic) {
       (void)co_await c.recv(0, 0);
       (void)co_await c.recv(0, 0);
     }
-  }));
+  };
+  rig.eng.spawn(cluster.run(body));
   rig.eng.run();
   EXPECT_EQ(cluster.comm(0).messages_sent(), 2u);
   EXPECT_EQ(cluster.comm(0).bytes_sent(), 1200u);

@@ -44,6 +44,22 @@ TEST(FramePool, OversizedAllocationsFallThrough) {
   EXPECT_EQ(after.retained, before.retained);
 }
 
+TEST(FramePool, RecyclesBurstsPastTheOldCap) {
+  // A 2048-rank collective keeps thousands of same-class frames alive at
+  // once; every parked block must come back, not only the first 512.
+  constexpr std::size_t kBurst = 2048;
+  FramePool::drain();
+  std::vector<void*> blocks(kBurst);
+  for (void*& b : blocks) b = FramePool::allocate(192);
+  for (void* b : blocks) FramePool::deallocate(b, 192);
+  const auto before = FramePool::stats();
+  EXPECT_EQ(before.retained, kBurst);
+  for (void*& b : blocks) b = FramePool::allocate(192);
+  EXPECT_EQ(FramePool::stats().reuses, before.reuses + kBurst);
+  for (void* b : blocks) FramePool::deallocate(b, 192);
+  FramePool::drain();
+}
+
 TEST(FramePool, CoroutineFramesActuallyPool) {
   // Spawn/await churn must hit the reuse path: after a warm-up frame
   // is freed, subsequent same-shape frames recycle it.
