@@ -27,23 +27,15 @@ std::string Policy::name() const {
 }
 
 std::optional<Policy> Policy::parse(std::string_view s) {
-  Policy p;
-  if (s == "sync_full") {
-    p.write = Write::kSync;
-    p.data = Data::kFull;
-  } else if (s == "sync_incr") {
-    p.write = Write::kSync;
-    p.data = Data::kIncremental;
-  } else if (s == "async_full") {
-    p.write = Write::kAsync;
-    p.data = Data::kFull;
-  } else if (s == "async_incr") {
-    p.write = Write::kAsync;
-    p.data = Data::kIncremental;
-  } else {
-    return std::nullopt;
+  for (const Write write : {Write::kSync, Write::kAsync}) {
+    for (const Data data : {Data::kFull, Data::kIncremental}) {
+      Policy p;
+      p.write = write;
+      p.data = data;
+      if (p.name() == s) return p;
+    }
   }
-  return p;
+  return std::nullopt;
 }
 
 namespace {
@@ -66,14 +58,6 @@ std::uint64_t dirty_window_bytes(const Workload& w) {
   const auto db =
       static_cast<std::uint64_t>(frac * static_cast<double>(state));
   return std::min(state, std::max<std::uint64_t>(db, 1));
-}
-
-/// Coordinated failure agreement over the compute interconnect (which an
-/// I/O-node crash does not touch): min-reduce of everyone's ok flag.
-simkit::Task<bool> agree(mprt::Comm& c, bool ok) {
-  std::array<double, 1> v{ok ? 1.0 : 0.0};
-  co_await mprt::allreduce(c, std::span<double>(v), mprt::ReduceOp::kMin);
-  co_return v[0] > 0.5;
 }
 
 /// Rank r's slice of the checkpoint file: `pieces` chunks interleaved
@@ -102,6 +86,18 @@ std::vector<pario::Extent> state_extents(const Workload& w, int rank) {
     prefix += len;
   }
   return ext;
+}
+
+/// Rank r's extents in a checkpoint file: the interleaved state layout for
+/// a full checkpoint, or the rank's slot of `per_rank_bytes` for a delta
+/// (whose payload packs the dirty regions, see dirty_extents).
+std::vector<pario::Extent> rank_extents(const Workload& w, int rank,
+                                        bool full,
+                                        std::uint64_t per_rank_bytes) {
+  if (full) return state_extents(w, rank);
+  return {{.file_offset = static_cast<std::uint64_t>(rank) * per_rank_bytes,
+           .length = per_rank_bytes,
+           .buf_offset = 0}};
 }
 
 /// Total payload of a delta covering steps (from_step, to_step].
@@ -254,6 +250,9 @@ struct RunState {
           {file, from_step, step, per_rank_bytes, commit_now});
       rep.delta_checkpoints += 1;
       rep.delta_bytes += bytes_written;
+      if (m_delta_bytes) {
+        m_delta_bytes->observe(static_cast<double>(bytes_written));
+      }
     }
     rep.checkpoints += 1;
     rep.ckpt_bytes += bytes_written;
@@ -281,15 +280,12 @@ struct RunState {
       if (ts_commit) ts_commit->record(now, -static_cast<double>(rec->step));
       return;
     }
-    const std::uint64_t bytes =
-        rec->per_rank_bytes * static_cast<std::uint64_t>(nprocs);
     commit(rec->step, rec->full, rec->file, rec->prev_step,
-           rec->per_rank_bytes, bytes, rec->snapshot_done, now);
+           rec->per_rank_bytes,
+           rec->per_rank_bytes * static_cast<std::uint64_t>(nprocs),
+           rec->snapshot_done, now);
     if (ts_commit) ts_commit->record(now, static_cast<double>(rec->step));
     if (m_overlap_s) m_overlap_s->observe(now - rec->issue_time);
-    if (!rec->full && m_delta_bytes) {
-      m_delta_bytes->observe(static_cast<double>(bytes));
-    }
   }
 };
 
@@ -339,9 +335,6 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
   simkit::Engine& eng = machine.engine();
   const simkit::Time job_start = eng.now();
   const Policy pol = opt.policy;
-  const bool incremental = pol.data == Policy::Data::kIncremental;
-  const bool async_write = pol.write == Policy::Write::kAsync;
-  const int full_every = std::max(pol.full_every, 1);
 
   // -- files ---------------------------------------------------------------
   // Checkpoint files follow opt.placement: kStriped uses the default
@@ -365,6 +358,11 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
       opt.replicate_checkpoint
           ? create_ckpt_target("ckpt." + w.name + ".mirror", /*mirror=*/true)
           : pfs::kInvalidFile;
+  // Only sync full checkpoints are mirrored: the mirror is written, fsynced
+  // and counted with the primary, is the restore's fail-over target, and
+  // is the second copy restart routing may fall back to.
+  const pfs::FileId mirror =
+      pol.is_sync_full() ? ckpt_replica : pfs::kInvalidFile;
   std::vector<pfs::FileId> priv;
   pfs::FileId dump = pfs::kInvalidFile;
   if (w.io == StepIo::kPrivateRead) {
@@ -394,12 +392,13 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
     return it->second;
   };
 
-  // Step/prologue I/O retries without fail-over (those files have no
-  // mirror); sync_full checkpoint restores may fail over to the mirror.
+  // Step/prologue I/O and checkpoint writes retry without fail-over (a
+  // write must land on every copy); full-checkpoint restores may fail
+  // over to the mirror.
   pario::RetryPolicy step_retry = opt.retry;
   step_retry.replica = pfs::kInvalidFile;
   pario::RetryPolicy ckpt_retry = opt.retry;
-  ckpt_retry.replica = pol.is_sync_full() ? ckpt_replica : pfs::kInvalidFile;
+  ckpt_retry.replica = mirror;
   pario::RetryPolicy drain_retry =
       opt.drain_retry.max_attempts > 0 ? opt.drain_retry : step_retry;
   drain_retry.replica = pfs::kInvalidFile;  // drains never fail over
@@ -431,14 +430,12 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
   RunState st;
   st.rep.policy = pol;
   st.resolve_meters(pol);
-  pario::TwoPhaseOptions tp_step;
+  pario::TwoPhaseOptions tp_step;  // also checkpoint writes, delta reads
   tp_step.retry = &step_retry;
   tp_step.retry_stats = &st.rep.retry;
-  pario::TwoPhaseOptions tp_ckpt_write = tp_step;  // copies go out whole
   pario::TwoPhaseOptions tp_ckpt_read;
   tp_ckpt_read.retry = &ckpt_retry;
   tp_ckpt_read.retry_stats = &st.rep.retry;
-  pario::TwoPhaseOptions tp_delta_read = tp_step;  // deltas have no mirror
 
   const int interval = std::max(opt.ckpt_interval_steps, 0);
   const std::uint64_t chunk =
@@ -508,7 +505,7 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
   }
   auto drain_body = [&](std::shared_ptr<AsyncRec> rec, int r,
                         hw::NodeId node,
-                        std::vector<pario::WritePiece> pieces)
+                        std::vector<pario::Extent> pieces)
       -> simkit::Task<void> {
     std::optional<simkit::ScopedLease> lease;
     if (drain_slots) {
@@ -547,6 +544,24 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
     if (rec->pending == 0) st.finalize_async(rec, eng.now(), w.nprocs);
   };
 
+  // One coordinated phase: every rank runs `phase`, then all agree on the
+  // outcome with a min-allreduce over the compute interconnect (which an
+  // I/O-node crash does not touch).  A pfs::IoError on any rank fails the
+  // phase on every rank, and rank 0 records the failure.
+  auto coordinated = [&](mprt::Comm& c, auto phase) -> simkit::Task<bool> {
+    bool ok = true;
+    try {
+      co_await phase();
+    } catch (const pfs::IoError&) {
+      ok = false;
+    }
+    std::array<double, 1> v{ok ? 1.0 : 0.0};
+    co_await mprt::allreduce(c, std::span<double>(v), mprt::ReduceOp::kMin);
+    ok = v[0] > 0.5;
+    if (!ok && c.rank() == 0) st.note_failure(eng.now());
+    co_return ok;
+  };
+
   auto body = [&](mprt::Comm& c) -> simkit::Task<void> {
     const int r = c.rank();
     const hw::NodeId node = c.node();
@@ -557,8 +572,7 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
     // (unbacked files serve reads without prior writes), so no prologue.
     if (w.io == StepIo::kPrivateRead && w.prologue_writes_private &&
         !st.prologue_done) {
-      bool ok = true;
-      try {
+      const bool ok = co_await coordinated(c, [&]() -> simkit::Task<void> {
         for (std::uint64_t off = 0; off < w.io_bytes_per_rank_step;
              off += chunk) {
           const std::uint64_t len =
@@ -567,14 +581,8 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
               fs, node, priv[static_cast<std::size_t>(r)], off, len, {},
               step_retry, &st.rep.retry);
         }
-      } catch (const pfs::IoError&) {
-        ok = false;
-      }
-      ok = co_await agree(c, ok);
-      if (!ok) {
-        if (r == 0) st.note_failure(eng.now());
-        co_return;
-      }
+      });
+      if (!ok) co_return;
       if (r == 0) st.prologue_done = true;
     }
 
@@ -582,8 +590,7 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
     // the full checkpoint, then every consecutive delta on top of it.
     if (st.have_ckpt && st.resume_step > 0) {
       const simkit::Time t0 = eng.now();
-      bool ok = true;
-      try {
+      const bool ok = co_await coordinated(c, [&]() -> simkit::Task<void> {
         const pfs::FileId full_src =
             st.restore_source != pfs::kInvalidFile ? st.restore_source
                                                    : st.chain.full_file;
@@ -597,14 +604,10 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
             scratch.resize(link.per_rank_bytes);
             scratch_span = scratch;
           }
-          std::vector<pario::Extent> mine{
-              {.file_offset = static_cast<std::uint64_t>(r) *
-                              link.per_rank_bytes,
-               .length = link.per_rank_bytes,
-               .buf_offset = 0}};
-          co_await pario::TwoPhase::read(c, fs, link.file, std::move(mine),
-                                         scratch_span, nullptr,
-                                         tp_delta_read);
+          co_await pario::TwoPhase::read(
+              c, fs, link.file,
+              rank_extents(w, r, /*full=*/false, link.per_rank_bytes),
+              scratch_span, nullptr, tp_step);
           if (w.backed_state) {  // scatter the delta into the live state
             auto& buf = state[static_cast<std::size_t>(r)];
             for (const auto& e :
@@ -632,12 +635,9 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
         if (st.remirror_target != pfs::kInvalidFile) {
           co_await pario::TwoPhase::write(c, fs, st.remirror_target,
                                           state_extents(w, r), state_span(r),
-                                          nullptr, tp_ckpt_write);
+                                          nullptr, tp_step);
         }
-      } catch (const pfs::IoError&) {
-        ok = false;
-      }
-      ok = co_await agree(c, ok);
+      });
       if (r == 0) {
         st.rep.recovery_time += eng.now() - t0;
         if (st.m_recovery_s) st.m_recovery_s->observe(eng.now() - t0);
@@ -650,10 +650,7 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
           st.remirror_target = pfs::kInvalidFile;
         }
       }
-      if (!ok) {
-        if (r == 0) st.note_failure(eng.now());
-        co_return;
-      }
+      if (!ok) co_return;
     } else {
       init_state(r);  // fresh attempt from step 0: (re)set initial state
     }
@@ -664,8 +661,7 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
       apply_step(r, step + 1);
 
       if (w.io != StepIo::kNone) {
-        bool ok = true;
-        try {
+        const bool ok = co_await coordinated(c, [&]() -> simkit::Task<void> {
           if (w.io == StepIo::kPrivateRead) {
             for (std::uint64_t off = 0; off < w.io_bytes_per_rank_step;
                  off += chunk) {
@@ -684,185 +680,137 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
             co_await pario::TwoPhase::write(c, fs, dump, std::move(mine), {},
                                             nullptr, tp_step);
           }
-        } catch (const pfs::IoError&) {
-          ok = false;
-        }
-        ok = co_await agree(c, ok);
-        if (!ok) {
-          if (r == 0) st.note_failure(eng.now());
-          co_return;
-        }
+        });
+        if (!ok) co_return;
       }
 
       // Coordinated checkpoint after every `interval` completed steps (not
       // after the last step — the job is finished, nothing left to lose).
       const int done_steps = step + 1;
-      if (interval > 0 && done_steps % interval == 0 &&
-          done_steps < w.steps) {
-        // Checkpoint index decides full vs delta deterministically (the
-        // first and every full_every-th checkpoint are full), so restarted
-        // attempts re-issue the same kind to the same file.
-        const int k = done_steps / interval;
-        const bool full = !incremental || ((k - 1) % full_every) == 0;
-        const int prev_step = done_steps - interval;
-        const std::uint64_t per_rank_bytes =
-            full ? w.state_bytes_per_rank
-                 : delta_payload_bytes(w, prev_step, done_steps);
+      if (interval == 0 || done_steps % interval != 0 ||
+          done_steps >= w.steps) {
+        continue;
+      }
+      // The checkpoint's plan, shared by both write paths: its index k
+      // decides full vs delta (Policy::full_at), so restarted attempts
+      // re-issue the same kind to the same file.
+      const int k = done_steps / interval;
+      const bool full = pol.full_at(k - 1);
+      const int prev_step = done_steps - interval;
+      const std::uint64_t per_rank_bytes =
+          full ? w.state_bytes_per_rank
+               : delta_payload_bytes(w, prev_step, done_steps);
+      const simkit::Time t0 = eng.now();
 
-        if (!async_write) {
-          // -- synchronous: ranks block inside the coordinated write ------
-          const simkit::Time t0 = eng.now();
-          bool ok = true;
-          try {
-            if (full) {
-              co_await pario::TwoPhase::write(c, fs, ckpt_file,
-                                              state_extents(w, r),
-                                              state_span(r), nullptr,
-                                              tp_ckpt_write);
-              if (pol.is_sync_full() && ckpt_replica != pfs::kInvalidFile) {
-                co_await pario::TwoPhase::write(c, fs, ckpt_replica,
-                                                state_extents(w, r),
-                                                state_span(r), nullptr,
-                                                tp_ckpt_write);
-              }
-            } else {
-              const std::vector<std::byte> payload =
-                  gather_delta(r, prev_step, done_steps);
-              std::vector<pario::Extent> mine{
-                  {.file_offset =
-                       static_cast<std::uint64_t>(r) * per_rank_bytes,
-                   .length = per_rank_bytes,
-                   .buf_offset = 0}};
-              co_await pario::TwoPhase::write(c, fs, delta_file(k),
-                                              std::move(mine), payload,
-                                              nullptr, tp_ckpt_write);
-            }
-            if (ordered_drain) {
-              // Durability barrier before the commit agreement: the
-              // checkpoint is only declared good once every acked byte
-              // is on disk.  A crash-truncated drain throws here and
-              // turns the commit into a coordinated failure instead of
-              // a silently hollow checkpoint.
-              co_await pario::resilient_fsync(
-                  fs, node, full ? ckpt_file : delta_file(k), step_retry,
-                  &st.rep.retry);
-              if (full && pol.is_sync_full() &&
-                  ckpt_replica != pfs::kInvalidFile) {
-                co_await pario::resilient_fsync(fs, node, ckpt_replica,
-                                                step_retry, &st.rep.retry);
-              }
-            }
-          } catch (const pfs::IoError&) {
-            ok = false;
+      if (pol.write == Policy::Write::kSync) {
+        // -- synchronous: ranks block inside the coordinated write --------
+        // Every target gets the same extents and bytes: the primary (or
+        // this checkpoint's delta file), plus the mirror of a mirrored full.
+        std::vector<pfs::FileId> targets{full ? ckpt_file : delta_file(k)};
+        if (full && mirror != pfs::kInvalidFile) targets.push_back(mirror);
+        std::vector<std::byte> delta;
+        std::span<const std::byte> data = state_span(r);
+        if (!full) {
+          delta = gather_delta(r, prev_step, done_steps);
+          data = delta;
+        }
+        const bool ok = co_await coordinated(c, [&]() -> simkit::Task<void> {
+          for (const pfs::FileId f : targets) {
+            co_await pario::TwoPhase::write(
+                c, fs, f, rank_extents(w, r, full, per_rank_bytes), data,
+                nullptr, tp_step);
           }
-          ok = co_await agree(c, ok);
-          if (r == 0) {
-            if (ok) {
-              const std::uint64_t bytes =
-                  per_rank_bytes * static_cast<std::uint64_t>(w.nprocs) *
-                  (full && pol.is_sync_full() &&
-                           ckpt_replica != pfs::kInvalidFile
-                       ? 2u
-                       : 1u);
-              st.rep.ckpt_overhead += eng.now() - t0;
-              st.commit(done_steps, full,
-                        full ? ckpt_file : delta_file(k), prev_step,
-                        per_rank_bytes, bytes, eng.now(), eng.now());
-              if (st.m_checkpoints) st.m_write_s->observe(eng.now() - t0);
-              if (!full && st.m_delta_bytes) {
-                st.m_delta_bytes->observe(static_cast<double>(bytes));
-              }
-              st.begin_productive(eng.now());
-            } else {
-              st.note_failure(eng.now());
+          // Under ordered_drain a checkpoint is only declared good once
+          // every acked byte is on disk: a crash-truncated drain throws
+          // here and turns the commit into a coordinated failure instead
+          // of a silently hollow checkpoint.
+          if (ordered_drain) {
+            for (const pfs::FileId f : targets) {
+              co_await pario::resilient_fsync(fs, node, f, step_retry,
+                                              &st.rep.retry);
             }
           }
-          if (!ok) co_return;
-        } else {
-          // -- asynchronous: stage a snapshot, drain in the background ----
-          // Blocking cost = staging copy + waiting for this rank's previous
-          // drain (one snapshot per rank in flight) + a full degrade to
-          // blocking when the snapshot exceeds the rank's staging budget.
-          const simkit::Time t0 = eng.now();
-          if (prev_drain[static_cast<std::size_t>(r)] &&
-              !prev_drain[static_cast<std::size_t>(r)]->done()) {
-            co_await prev_drain[static_cast<std::size_t>(r)]->join();
-            if (r == 0) {
-              st.rep.stage_wait += eng.now() - t0;
-              if (st.m_stage_wait_s) {
-                st.m_stage_wait_s->observe(eng.now() - t0);
-              }
-            }
-          }
+        });
+        if (!ok) co_return;
+        if (r == 0) {
+          st.rep.ckpt_overhead += eng.now() - t0;
+          st.commit(done_steps, full, targets.front(), prev_step,
+                    per_rank_bytes,
+                    per_rank_bytes * static_cast<std::uint64_t>(w.nprocs) *
+                        targets.size(),
+                    eng.now(), eng.now());
+          if (st.m_checkpoints) st.m_write_s->observe(eng.now() - t0);
+          st.begin_productive(eng.now());
+        }
+        continue;
+      }
 
-          std::shared_ptr<AsyncRec> rec;
-          auto it = st.inflight.find(done_steps);
-          if (it != st.inflight.end() && it->second->epoch == st.epoch) {
-            rec = it->second;
-          } else {
-            rec = std::make_shared<AsyncRec>();
-            rec->epoch = st.epoch;
-            rec->step = done_steps;
-            rec->prev_step = prev_step;
-            rec->full = full;
-            rec->per_rank_bytes = per_rank_bytes;
-            rec->pending = w.nprocs;
-            rec->issue_time = eng.now();
-            if (full) {
-              // Double-buffer: never target the committed full checkpoint.
-              if (st.chain.valid && st.chain.full_file == ckpt_file) {
-                if (ckpt_file_b == pfs::kInvalidFile) {
-                  ckpt_file_b = create_ckpt_target("ckpt." + w.name + ".b",
-                                                   /*mirror=*/false);
-                }
-                rec->file = ckpt_file_b;
-              } else {
-                rec->file = ckpt_file;
-              }
-            } else {
-              rec->file = delta_file(k);
-            }
-            if (w.backed_state) {
-              rec->staged.resize(static_cast<std::size_t>(w.nprocs));
-            }
-            st.inflight[done_steps] = rec;
-            if (st.ts_issue) {
-              st.ts_issue->record(eng.now(),
-                                  static_cast<double>(done_steps));
-            }
-          }
-
-          // Stage: a timed memory copy into the bounded staging buffer.
-          co_await machine.mem_copy(per_rank_bytes);
-          if (w.backed_state) {
-            rec->staged[static_cast<std::size_t>(r)] =
-                full ? state[static_cast<std::size_t>(r)]
-                     : gather_delta(r, prev_step, done_steps);
-          }
-          rec->snapshot_done = std::max(rec->snapshot_done, eng.now());
-          st.note_staging(static_cast<std::int64_t>(per_rank_bytes));
-
-          std::vector<pario::WritePiece> pieces;
-          if (full) {
-            for (const auto& e : state_extents(w, r)) {
-              pieces.push_back({e.file_offset, e.length, e.buf_offset});
-            }
-          } else {
-            pieces.push_back(
-                {static_cast<std::uint64_t>(r) * per_rank_bytes,
-                 per_rank_bytes, 0});
-          }
-          simkit::ProcHandle h =
-              eng.spawn(drain_body(rec, r, node, std::move(pieces)),
-                        "ckpt.drain." + w.name);
-          prev_drain[static_cast<std::size_t>(r)] = h;
-          if (per_rank_bytes > rank_budget) {
-            co_await h.join();  // budget exceeded: degrade to blocking
-          }
-          if (r == 0) st.rep.ckpt_overhead += eng.now() - t0;
-          if (r == 0 && st.m_write_s) st.m_write_s->observe(eng.now() - t0);
+      // -- asynchronous: stage a snapshot, drain in the background --------
+      // Blocking cost = staging copy + waiting for this rank's previous
+      // drain (one snapshot per rank in flight) + a full degrade to
+      // blocking when the snapshot exceeds the rank's staging budget.
+      auto& prev = prev_drain[static_cast<std::size_t>(r)];
+      if (prev && !prev->done()) {
+        co_await prev->join();
+        if (r == 0) {
+          st.rep.stage_wait += eng.now() - t0;
+          if (st.m_stage_wait_s) st.m_stage_wait_s->observe(eng.now() - t0);
         }
       }
+
+      std::shared_ptr<AsyncRec> rec;
+      auto it = st.inflight.find(done_steps);
+      if (it != st.inflight.end() && it->second->epoch == st.epoch) {
+        rec = it->second;
+      } else {
+        rec = std::make_shared<AsyncRec>();
+        rec->epoch = st.epoch;
+        rec->step = done_steps;
+        rec->prev_step = prev_step;
+        rec->full = full;
+        rec->per_rank_bytes = per_rank_bytes;
+        rec->pending = w.nprocs;
+        rec->issue_time = eng.now();
+        if (!full) {
+          rec->file = delta_file(k);
+        } else if (st.chain.valid && st.chain.full_file == ckpt_file) {
+          // Double-buffer: never target the committed full checkpoint.
+          if (ckpt_file_b == pfs::kInvalidFile) {
+            ckpt_file_b =
+                create_ckpt_target("ckpt." + w.name + ".b", /*mirror=*/false);
+          }
+          rec->file = ckpt_file_b;
+        } else {
+          rec->file = ckpt_file;
+        }
+        if (w.backed_state) {
+          rec->staged.resize(static_cast<std::size_t>(w.nprocs));
+        }
+        st.inflight[done_steps] = rec;
+        if (st.ts_issue) {
+          st.ts_issue->record(eng.now(), static_cast<double>(done_steps));
+        }
+      }
+
+      // Stage: a timed memory copy into the bounded staging buffer.
+      co_await machine.mem_copy(per_rank_bytes);
+      if (w.backed_state) {
+        rec->staged[static_cast<std::size_t>(r)] =
+            full ? state[static_cast<std::size_t>(r)]
+                 : gather_delta(r, prev_step, done_steps);
+      }
+      rec->snapshot_done = std::max(rec->snapshot_done, eng.now());
+      st.note_staging(static_cast<std::int64_t>(per_rank_bytes));
+
+      simkit::ProcHandle h = eng.spawn(
+          drain_body(rec, r, node, rank_extents(w, r, full, per_rank_bytes)),
+          "ckpt.drain." + w.name);
+      prev = h;
+      if (per_rank_bytes > rank_budget) {
+        co_await h.join();  // budget exceeded: degrade to blocking
+      }
+      if (r == 0) st.rep.ckpt_overhead += eng.now() - t0;
+      if (r == 0 && st.m_write_s) st.m_write_s->observe(eng.now() - t0);
     }
   };
 
@@ -942,8 +890,6 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
           break;
         }
       }
-      const pfs::FileId mirror =
-          pol.is_sync_full() ? ckpt_replica : pfs::kInvalidFile;
       const bool primary_ok =
           !scrubbed(st.chain.full_file, st.chain.full_commit);
       const bool mirror_ok =

@@ -6,12 +6,15 @@
 // rank (compute plus a per-step I/O pattern derived from a real app —
 // SCF 1.1's integral-file re-read, BTIO's collective solution dump).
 // Every `ckpt_interval_steps`, all ranks write a coordinated checkpoint of
-// their state through the existing two-phase collective path.  When an
-// injected fault defeats the retry/backoff policy, the surviving ranks
-// agree on the failure (an allreduce over the compute interconnect, which
-// crashes of I/O nodes do not touch), the job waits out the outage, rolls
-// back to the last committed checkpoint, re-reads it collectively, and
-// re-executes the lost steps.
+// their state, through the two-phase collective path (sync policies) or
+// a staged snapshot that background drains write out (async policies).
+// Each checkpoint is planned once for both paths: full or delta
+// (Policy::full_at), each rank's extents, and the files it goes to.
+// When an injected fault defeats the retry/backoff policy, the surviving
+// ranks agree on the failure (an allreduce over the compute
+// interconnect, which crashes of I/O nodes do not touch), the job waits
+// out the outage, rolls back to the last committed checkpoint, re-reads
+// it collectively, and re-executes the lost steps.
 //
 // The report splits the resilience overheads the way the classic optimal-
 // checkpoint-interval analysis does: time writing checkpoints (grows as
@@ -62,12 +65,19 @@ struct Policy {
   std::uint64_t staging_budget_bytes = 64ULL << 20;
 
   /// In incremental mode every Nth checkpoint is full (the first always
-  /// is); the deltas in between only cover regions dirtied since the
-  /// previous checkpoint.  Restart replays full + consecutive deltas.
+  /// is, see full_at); the deltas in between only cover regions dirtied
+  /// since the previous checkpoint.  Restart replays full + consecutive
+  /// deltas.
   int full_every = 4;
 
   bool is_sync_full() const noexcept {
     return write == Write::kSync && data == Data::kFull;
+  }
+  /// Whether checkpoint number `index` (0-based) writes the whole state:
+  /// always under kFull, else the first and every full_every-th one.
+  /// Restarted attempts re-issue the same kind for the same index.
+  bool full_at(int index) const noexcept {
+    return data == Data::kFull || full_every <= 1 || index % full_every == 0;
   }
   /// "sync_full" | "sync_incr" | "async_full" | "async_incr".
   std::string name() const;

@@ -201,54 +201,6 @@ void finish_routed(std::vector<Message>& out, Rank r, int tag,
   sort_by_source(out);
 }
 
-/// Bruck store-and-forward: ceil(log2 P) rounds; in round k every rank
-/// ships the blocks whose remaining relative distance has bit k set to
-/// rank + 2^k.  P * ceil(log2 P) wire messages total — each block hops
-/// (and pays the network) once per set bit of its distance.
-simkit::Task<std::vector<Message>> alltoallv_bruck(
-    Comm& c, std::vector<Outgoing> sends) {
-  const int p = c.size();
-  const Rank r = c.rank();
-  A2aMeters meters;
-  std::vector<Message> out;
-  std::vector<Block> items = build_blocks(r, sends);
-  int last_tag = Comm::kCollectiveTagBase;
-  for (int k = 1; k < p; k <<= 1) {
-    const int tag = c.next_collective_tag();
-    last_tag = tag;
-    const Rank dst = (r + k) % p;
-    const Rank src = (r - k + p) % p;
-    std::vector<Block> fwd;
-    std::vector<Block> keep;
-    for (auto& b : items) {
-      const int rel = (b.dst - r + p) % p;
-      if (rel & k) {
-        fwd.push_back(std::move(b));
-      } else {
-        keep.push_back(std::move(b));
-      }
-    }
-    items = std::move(keep);
-    std::vector<std::byte> frame;
-    std::uint64_t sim = 0;
-    encode_blocks(fwd, frame, sim);
-    meters.note(sim);
-    co_await c.send(dst, tag, sim, frame);
-    Message m = co_await c.recv(src, tag);
-    auto arrived = decode_blocks(m.payload);
-    for (auto& b : arrived) {
-      if (b.dst == r) {
-        out.push_back({b.src, tag, b.sim_bytes, std::move(b.payload)});
-      } else {
-        items.push_back(std::move(b));
-      }
-    }
-  }
-  assert(items.empty());
-  finish_routed(out, r, last_tag, sends);
-  co_return out;
-}
-
 /// Two-level leader routing: members ship all their blocks to the group
 /// leader (one message), leaders exchange pairwise (A^2), leaders deliver
 /// to members (one message each) — ~2P + A^2 wire messages instead of
@@ -386,12 +338,6 @@ int two_level_group_width(int p, const CollectiveTopology& t) {
   return std::clamp(g, 1, p);
 }
 
-std::vector<Rank> two_level_leaders(int p, int width) {
-  std::vector<Rank> out;
-  for (Rank r = 0; r < p; r += width) out.push_back(r);
-  return out;
-}
-
 simkit::Task<std::vector<Message>> alltoallv(Comm& c,
                                              std::vector<Outgoing> sends) {
   Rank prev = -1;
@@ -404,11 +350,7 @@ simkit::Task<std::vector<Message>> alltoallv(Comm& c,
     }
     prev = s.dst;
   }
-  const CollectiveTopology::Kind kind = c.topology().kind;
-  if (kind == CollectiveTopology::Kind::kBruck) {
-    co_return co_await alltoallv_bruck(c, std::move(sends));
-  }
-  if (kind == CollectiveTopology::Kind::kTwoLevel) {
+  if (c.topology().kind == CollectiveTopology::Kind::kTwoLevel) {
     co_return co_await alltoallv_twolevel(c, std::move(sends));
   }
   co_return co_await alltoallv_flat(c, std::move(sends));

@@ -48,24 +48,21 @@ struct Outgoing {
 ///
 /// Routing follows the cluster's CollectiveTopology: kFlat is the
 /// historical shifted pairwise exchange (P messages per rank, an empty
-/// envelope for a pair with no block), kBruck store-and-forwards in
-/// ceil(log2 P) rounds, kTwoLevel routes through group leaders (~2P + A^2
-/// messages total for A groups).  All three deliver identical lists; only
-/// message counts and timing differ.  Wire traffic is metered as
-/// mprt.alltoall.msgs / mprt.alltoall.bytes when a metrics registry is
-/// installed.  `sends` is taken BY VALUE: a coroutine must not bind
-/// references to caller temporaries.
+/// envelope for a pair with no block), kTwoLevel routes through group
+/// leaders (~2P + A^2 messages total for A groups).  Both deliver
+/// identical lists; only message counts and timing differ.  Wire traffic
+/// is metered as mprt.alltoall.msgs / mprt.alltoall.bytes when a metrics
+/// registry is installed.  `sends` is taken BY VALUE: a coroutine must
+/// not bind references to caller temporaries.
 simkit::Task<std::vector<Message>> alltoallv(Comm& c,
                                              std::vector<Outgoing> sends);
 
-/// Effective kTwoLevel group width for a P-rank cluster: the topology's
-/// group_size clamped to [1, P], or ceil(sqrt(P)) when it is 0.
+/// Effective kTwoLevel group width W for a P-rank cluster: the
+/// topology's group_size clamped to [1, P], or ceil(sqrt(P)) when it is
+/// 0.  The group leaders are ranks 0, W, 2W, ...; they are also the
+/// aggregators of the hierarchical two-phase I/O path (pario::TwoPhase
+/// under a kTwoLevel topology).
 int two_level_group_width(int p, const CollectiveTopology& t);
-
-/// Group-leader ranks (0, W, 2W, ...) for a P-rank cluster at width W.
-/// These are also the aggregator ranks of the hierarchical two-phase
-/// I/O path (pario::TwoPhase under a kTwoLevel topology).
-std::vector<Rank> two_level_leaders(int p, int width);
 
 enum class ReduceOp : std::uint8_t { kSum, kMin, kMax };
 

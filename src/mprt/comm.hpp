@@ -40,12 +40,11 @@ struct Message {
 /// Routing policy for bulk collective exchanges: how alltoallv (and the
 /// hierarchical two-phase I/O built on it) moves personalized blocks.
 /// kFlat is the default and reproduces the historical behavior byte for
-/// byte; the other kinds trade per-hop forwarding for message count, the
+/// byte; kTwoLevel trades a forwarding hop for message count, the
 /// O(P^2) -> O(P + A^2) reduction DESIGN.md §16 describes.
 struct CollectiveTopology {
   enum class Kind : std::uint8_t {
     kFlat,      // direct pairwise: P messages per rank
-    kBruck,     // ceil(log2 P) store-and-forward rounds (sparse exchanges)
     kTwoLevel,  // leader-per-group routing: ~2P + A^2 messages total
   };
   Kind kind = Kind::kFlat;

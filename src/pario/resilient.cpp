@@ -275,10 +275,10 @@ simkit::Task<void> resilient_op(pfs::OpKind kind, pfs::StripedFs& fs,
 
 simkit::Task<void> pwritev_impl(pfs::StripedFs& fs, hw::NodeId client,
                                 pfs::FileId file,
-                                std::vector<WritePiece> pieces,
+                                std::vector<Extent> pieces,
                                 std::span<const std::byte> data,
                                 RetryPolicy policy, RetryStats* stats) {
-  for (const WritePiece& p : pieces) {
+  for (const Extent& p : pieces) {
     std::span<const std::byte> slice;
     if (!data.empty()) {
       slice = data.subspan(static_cast<std::size_t>(p.buf_offset),
@@ -370,7 +370,7 @@ simkit::Task<void> resilient_pwrite(pfs::StripedFs& fs, hw::NodeId client,
 
 simkit::Task<void> resilient_pwritev(pfs::StripedFs& fs, hw::NodeId client,
                                      pfs::FileId file,
-                                     std::vector<WritePiece> pieces,
+                                     std::vector<Extent> pieces,
                                      std::span<const std::byte> data,
                                      RetryPolicy policy, RetryStats* stats) {
   policy.validate();

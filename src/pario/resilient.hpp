@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "pario/extent.hpp"
 #include "pario/health.hpp"
 #include "pfs/fs.hpp"
 #include "simkit/task.hpp"
@@ -110,25 +111,18 @@ simkit::Task<void> resilient_pwrite(pfs::StripedFs& fs, hw::NodeId client,
                                     RetryPolicy policy,
                                     RetryStats* stats = nullptr);
 
-/// One placed piece of a vectored resilient write: `file_offset` in the
-/// target file, `buf_offset` into the caller's staged payload.
-struct WritePiece {
-  std::uint64_t file_offset = 0;
-  std::uint64_t length = 0;
-  std::uint64_t buf_offset = 0;
-};
-
 /// Vectored resilient pwrite: issues one resilient_pwrite per piece, in
 /// order, from a single staged buffer (`data` may be empty for timing-only
-/// files).  This is the background checkpoint drain's write path — an
-/// independent per-client stream of large calls that contends with
-/// foreground I/O at the I/O nodes; it deliberately does NOT aggregate
-/// across clients (no collective — the caller may be a detached task).
+/// files; a piece's `buf_offset` indexes it).  This is the background
+/// checkpoint drain's write path — an independent per-client stream of
+/// large calls that contends with foreground I/O at the I/O nodes; it
+/// deliberately does NOT aggregate across clients (no collective — the
+/// caller may be a detached task).
 /// Throws the first piece's exhausted pfs::IoError; earlier pieces stay
 /// written (idempotent re-issue is the caller's rollback story).
 simkit::Task<void> resilient_pwritev(pfs::StripedFs& fs, hw::NodeId client,
                                      pfs::FileId file,
-                                     std::vector<WritePiece> pieces,
+                                     std::vector<Extent> pieces,
                                      std::span<const std::byte> data,
                                      RetryPolicy policy,
                                      RetryStats* stats = nullptr);

@@ -46,12 +46,12 @@ struct TwoPhaseOptions {
   /// aggregators concentrate the file traffic — useful when ranks far
   /// outnumber I/O nodes.
   ///
-  /// This picks the flat plan's aggregators, used under the kFlat and
-  /// kBruck topologies (whose alltoallv still routes by topology).  It is
-  /// ignored under kTwoLevel, whose plan makes the topology's group
-  /// LEADERS the aggregators: the rank->aggregator data motion rides the
-  /// leader routing, and the replicated O(P) extent table gives way to a
-  /// bounds allreduce plus inline sub-extent records (DESIGN.md §16).
+  /// This picks the flat plan's aggregators, used under the kFlat
+  /// topology.  It is ignored under kTwoLevel, whose plan makes the
+  /// topology's group LEADERS the aggregators: the rank->aggregator data
+  /// motion rides the leader routing, and the replicated O(P) extent
+  /// table gives way to a bounds allreduce plus inline sub-extent records
+  /// (DESIGN.md §16).
   int aggregators = 0;
 
   /// Retry/backoff policy for the aggregators' file I/O (fault runs).

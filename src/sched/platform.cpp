@@ -198,9 +198,7 @@ simkit::Task<void> drain_body(State& st, JobRt& rt, int epoch, int ckpt_step,
 /// background drain does the writing and commits on completion.
 simkit::Task<void> do_checkpoint(State& st, JobRt& rt) {
   const JobClass& k = rt.job.klass;
-  const bool full = k.policy.data == ckpt::Policy::Data::kFull ||
-                    k.policy.full_every <= 1 ||
-                    rt.ckpt_seq % k.policy.full_every == 0;
+  const bool full = k.policy.full_at(rt.ckpt_seq);
   const std::uint64_t per_node =
       full ? k.state_bytes_per_node
            : std::max<std::uint64_t>(

@@ -3,6 +3,7 @@
 // restart from full+delta chains (including losing the newest delta).
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "hw/machine.hpp"
+#include "iosrv/config.hpp"
 #include "metrics/metrics.hpp"
 #include "pfs/fs.hpp"
 #include "simkit/engine.hpp"
@@ -34,9 +36,11 @@ Workload small_workload() {
 }
 
 Report run_with(fault::InjectionPlan plan, Options opt,
-                Workload w = small_workload()) {
+                Workload w = small_workload(),
+                hw::MachineConfig cfg =
+                    hw::MachineConfig::paragon_small(4, 2)) {
   simkit::Engine eng;
-  hw::Machine machine(eng, hw::MachineConfig::paragon_small(4, 2));
+  hw::Machine machine(eng, std::move(cfg));
   fault::Injector injector(std::move(plan));
   pfs::StripedFs fs(machine, &injector);
   return run(machine, fs, &injector, std::move(w), std::move(opt));
@@ -295,6 +299,89 @@ TEST(Policy, LostNewestDeltaFallsBackToPreviousChain) {
       << "the killed drain must surface as a dropped checkpoint";
   EXPECT_GT(lost.lost_work, kept.lost_work)
       << "losing the newest delta rolls back one checkpoint further";
+}
+
+// Servers whose crash loses what they acked but had not flushed: pooled
+// write-behind with crash semantics on, under `durability`.
+hw::MachineConfig crashing_servers(iosrv::DurabilityPolicy durability) {
+  hw::MachineConfig cfg = hw::MachineConfig::paragon_small(4, 2);
+  cfg.io.server.writeback.mode = iosrv::WritebackMode::kPool;
+  cfg.io.server.durability.policy = durability;
+  cfg.io.server.durability.crash_semantics = true;
+  return cfg;
+}
+
+// Every policy on crash-semantics servers, node 0 down for 40-50% of the
+// fault-free sync_full run.  ordered_drain fsyncs every checkpoint before
+// it commits, so the crash fails a commit or a restore but never hollows
+// out a committed copy.  write_behind commits on the ack: under the async
+// policies the crash drops a committed copy's unflushed bytes, restart
+// routing (fs.file_lost_in) must fall back to an older chain, and the
+// restore must still verify.  exec_time and the counts are pinned, so
+// any change to the simulated event sequence shows.
+TEST(Policy, CrashSemanticsUnderWriteBehindAndOrderedDrain) {
+  using iosrv::DurabilityPolicy;
+  struct Pin {
+    DurabilityPolicy durability;
+    const char* policy;
+    double exec_time;
+    int checkpoints;
+    int dropped;
+    int restarts;
+    int lost;
+    std::uint64_t ckpt_bytes;
+  };
+  const Pin pins[] = {
+      {DurabilityPolicy::kWriteBehind, "sync_full", 0.8549171451888693, 3, 0,
+       0, 0, 786432},
+      {DurabilityPolicy::kWriteBehind, "sync_incr", 0.85357590709363107, 3,
+       0, 0, 0, 655360},
+      {DurabilityPolicy::kWriteBehind, "async_full", 1.3191761001715119, 4,
+       0, 1, 1, 1048576},
+      {DurabilityPolicy::kWriteBehind, "async_incr", 1.318083833504845, 4, 0,
+       1, 1, 917504},
+      {DurabilityPolicy::kOrderedDrain, "sync_full", 1.196262262958409, 3, 0,
+       1, 0, 786432},
+      {DurabilityPolicy::kOrderedDrain, "sync_incr", 1.1744479425921188, 3,
+       0, 1, 0, 655360},
+      {DurabilityPolicy::kOrderedDrain, "async_full", 1.0977972270056777, 3,
+       0, 1, 0, 786432},
+      {DurabilityPolicy::kOrderedDrain, "async_incr", 1.0967082712482807, 3,
+       0, 1, 0, 655360},
+  };
+  Workload w = small_workload();
+  w.dirty_fraction_per_step = 0.25;
+  Options opt;
+  opt.ckpt_interval_steps = 2;
+  opt.retry.max_attempts = 3;
+  opt.policy.full_every = 2;
+  const double t =
+      run_with(fault::InjectionPlan{}, opt, w,
+               crashing_servers(DurabilityPolicy::kWriteBehind))
+          .exec_time;
+  fault::InjectionPlan plan;
+  plan.crash_node(0, 0.4 * t, 0.5 * t);
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(iosrv::to_string(pin.durability)) + " " +
+                 pin.policy);
+    const Policy parsed = *Policy::parse(pin.policy);
+    opt.policy.write = parsed.write;
+    opt.policy.data = parsed.data;
+    const Report rep =
+        run_with(plan, opt, w, crashing_servers(pin.durability));
+    EXPECT_TRUE(rep.completed);
+    EXPECT_TRUE(rep.state_verified);
+    if (pin.durability == DurabilityPolicy::kOrderedDrain) {
+      EXPECT_EQ(rep.lost_checkpoints, 0)
+          << "a fsynced commit cannot lose its bytes";
+    }
+    EXPECT_NEAR(rep.exec_time, pin.exec_time, 1e-9);
+    EXPECT_EQ(rep.checkpoints, pin.checkpoints);
+    EXPECT_EQ(rep.dropped_checkpoints, pin.dropped);
+    EXPECT_EQ(rep.restarts, pin.restarts);
+    EXPECT_EQ(rep.lost_checkpoints, pin.lost);
+    EXPECT_EQ(rep.ckpt_bytes, pin.ckpt_bytes);
+  }
 }
 
 }  // namespace

@@ -174,7 +174,7 @@ TEST(Collectives, BarrierCostGrowsLogarithmically) {
   EXPECT_LT(t32, 8.0 * t4);  // log growth, not linear
 }
 
-// -- routed topologies: Bruck and two-level leader exchange ----------------
+// -- routed topology: two-level leader exchange -----------------------------
 
 struct Delivery {
   Rank src;
@@ -255,9 +255,6 @@ TEST_P(TopologySweep, RoutedAlltoallvMatchesFlat) {
                 expected_for(r, p, seed, true))
           << "flat p=" << p << " rank=" << r << " seed=" << seed;
     }
-    const auto bruck =
-        run_alltoallv({CollectiveTopology::Kind::kBruck, 0}, p, seed, true);
-    EXPECT_EQ(bruck, flat) << "bruck p=" << p << " seed=" << seed;
     // Several widths, including non-divisors and the sqrt default.
     for (int width : {0, 1, 3, 4, p}) {
       const auto two = run_alltoallv(
@@ -274,14 +271,11 @@ TEST_P(TopologySweep, RoutedTimingOnlyExchangeKeepsSimSizes) {
   // message must still carry the correct simulated size.
   const auto flat =
       run_alltoallv({CollectiveTopology::Kind::kFlat, 0}, p, 3u, false);
-  const auto bruck =
-      run_alltoallv({CollectiveTopology::Kind::kBruck, 0}, p, 3u, false);
   const auto two =
       run_alltoallv({CollectiveTopology::Kind::kTwoLevel, 0}, p, 3u, false);
   for (int r = 0; r < p; ++r) {
     const auto ru = static_cast<std::size_t>(r);
     EXPECT_EQ(flat[ru], expected_for(r, p, 3u, false)) << "rank " << r;
-    EXPECT_EQ(bruck[ru], flat[ru]) << "rank " << r;
     EXPECT_EQ(two[ru], flat[ru]) << "rank " << r;
   }
 }
@@ -312,11 +306,8 @@ TEST(Collectives, TwoLevelMessageCountGrowsLinearly) {
   EXPECT_EQ(flat32, 32u * 32u);
   EXPECT_EQ(flat64, 64u * 64u);
   // At 64 ranks the leader routing is already an order of magnitude
-  // below flat; Bruck sits at P * log2(P).
+  // below flat.
   EXPECT_GE(flat64, 10 * two64);
-  const std::uint64_t bruck64 =
-      alltoallv_msgs({CollectiveTopology::Kind::kBruck, 0}, 64);
-  EXPECT_EQ(bruck64, 64u * 6u);
 }
 
 TEST(Collectives, AlltoallvRejectsBadSends) {
@@ -354,8 +345,6 @@ TEST(Collectives, TwoLevelHelpers) {
   EXPECT_EQ(two_level_group_width(16, {CollectiveTopology::Kind::kTwoLevel,
                                        64}),
             16);  // clamped to P
-  EXPECT_EQ(two_level_leaders(10, 4), (std::vector<Rank>{0, 4, 8}));
-  EXPECT_EQ(two_level_leaders(8, 4), (std::vector<Rank>{0, 4}));
 }
 
 TEST(Collectives, ConsecutiveCollectivesDoNotCrossTalk) {

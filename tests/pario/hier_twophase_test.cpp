@@ -1,8 +1,7 @@
-// Tests for the two-phase engine under routed collective topologies.
+// Tests for the two-phase engine under the routed collective topology.
 // Under kTwoLevel the group leaders do the file I/O and the replicated
 // extent table is replaced by a bounds allreduce plus inline sub-extent
-// records; under kBruck the flat plan's exchanges store-and-forward.
-// Byte-equivalence against kFlat is the contract (DESIGN.md §16).
+// records.  Byte-equivalence against kFlat is the contract (DESIGN.md §16).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -142,34 +141,6 @@ TEST(HierTwoPhase, ReadMatchesFlatByteForByte) {
             seed);
         EXPECT_EQ(hier, flat) << "p=" << p << " width=" << width
                               << " seed=" << seed;
-      }
-    }
-  }
-}
-
-// The flat plan also runs under kBruck, whose alltoallv store-and-forwards
-// every block in log-rounds: the file it writes and the buffers it reads
-// back must match kFlat's, and restore what each rank wrote.
-TEST(BruckTwoPhase, WriteThenReadMatchesFlat) {
-  const mprt::CollectiveTopology flat{mprt::CollectiveTopology::Kind::kFlat,
-                                      0};
-  const mprt::CollectiveTopology bruck{
-      mprt::CollectiveTopology::Kind::kBruck, 0};
-  for (int p : {3, 8, 13}) {
-    for (unsigned seed : {1u, 9u}) {
-      const auto image = write_image(bruck, p, 64, seed);
-      EXPECT_EQ(image, write_image(flat, p, 64, seed))
-          << "p=" << p << " seed=" << seed;
-      const auto back = read_buffers(bruck, p, image, seed);
-      EXPECT_EQ(back, read_buffers(flat, p, image, seed))
-          << "p=" << p << " seed=" << seed;
-      for (int r = 0; r < p; ++r) {
-        std::vector<std::byte> wrote(my_bytes(r, p, 64, seed));
-        for (std::size_t i = 0; i < wrote.size(); ++i) {
-          wrote[i] = static_cast<std::byte>(r * 41 + i);
-        }
-        EXPECT_EQ(back[static_cast<std::size_t>(r)], wrote)
-            << "p=" << p << " rank=" << r << " seed=" << seed;
       }
     }
   }

@@ -169,7 +169,7 @@ TEST(Resilient, PolicyValidationRejectsNonsense) {
 
   RetryPolicy bad_multiplier;
   bad_multiplier.backoff_multiplier = 0.5;
-  EXPECT_THROW(resilient_pwritev(rig.fs, c, f, {WritePiece{0, 4096, 0}}, {},
+  EXPECT_THROW(resilient_pwritev(rig.fs, c, f, {Extent{0, 4096, 0}}, {},
                                  bad_multiplier),
                std::invalid_argument);
 

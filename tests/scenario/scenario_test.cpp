@@ -85,7 +85,7 @@ TEST(ScenarioGlobalRegistry, HasAllThirtyOneScenarios) {
       "fault_correlated", "platform_ckpt_interference", "platform_queueing",
       "platform_server_cache", "platform_server_faults",
       "server_cache_policy", "server_crash_durability", "server_readahead",
-      "engine_bench", "micro_simkit", "micro_pfs", "micro_twophase"};
+      "engine_bench"};
   for (const char* n : names) {
     EXPECT_NE(scenario::Registry::global().find(n), nullptr) << n;
   }
