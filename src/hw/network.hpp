@@ -7,6 +7,11 @@
 // the bottleneck is the handful of I/O-node endpoints, which this model
 // captures; per-link wormhole contention is intentionally out of scope
 // (see DESIGN.md §5.2 and the ablation_network scenario).
+//
+// transfer() holds each NIC inline (acquire, delay, release in its own
+// frame) rather than in a sub-task: every message of every layer passes
+// through here, and a remote transfer then costs one coroutine frame
+// instead of three (DESIGN.md §14, frame budget).
 #pragma once
 
 #include <cassert>
@@ -113,9 +118,16 @@ class Network {
       co_await eng_.delay(serialization(bytes));
       co_return;
     }
-    co_await nics_.at(src)->use_for(serialization(bytes));
+    const simkit::Duration ser = serialization(bytes);
+    simkit::Resource& out = *nics_.at(src);
+    co_await out.acquire();
+    co_await eng_.delay(ser);
+    out.release();
     co_await eng_.delay(propagation(src, dst));
-    co_await nics_.at(dst)->use_for(serialization(bytes));
+    simkit::Resource& in = *nics_.at(dst);
+    co_await in.acquire();
+    co_await eng_.delay(ser);
+    in.release();
   }
 
   simkit::Duration serialization(std::uint64_t bytes) const {

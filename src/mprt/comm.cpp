@@ -15,6 +15,22 @@ const CollectiveTopology& Comm::topology() const noexcept {
 
 simkit::Task<void> Comm::send(Rank dst, int tag, std::uint64_t bytes,
                               std::span<const std::byte> payload) {
+  return send_owned(dst, tag, bytes,
+                    std::vector<std::byte>(payload.begin(), payload.end()));
+}
+
+simkit::ProcHandle Comm::isend(Rank dst, int tag, std::uint64_t bytes,
+                               std::span<const std::byte> payload) {
+  // The payload is captured NOW, so the caller may reuse its buffer
+  // immediately (MPI buffered-send semantics).
+  return engine().spawn(
+      send_owned(dst, tag, bytes,
+                 std::vector<std::byte>(payload.begin(), payload.end())),
+      "isend");
+}
+
+simkit::Task<void> Comm::send_owned(Rank dst, int tag, std::uint64_t bytes,
+                                    std::vector<std::byte> payload) {
   assert(dst >= 0 && dst < size());
   // Framed collective routing ships real headers + whatever content the
   // caller materialized, under a simulated size that includes the
@@ -24,31 +40,13 @@ simkit::Task<void> Comm::send(Rank dst, int tag, std::uint64_t bytes,
   m.src = rank_;
   m.tag = tag;
   m.bytes = bytes;
-  m.payload.assign(payload.begin(), payload.end());
+  m.payload = std::move(payload);
   ++sent_;
   bytes_sent_ += bytes;
   Comm& peer = cluster_->comm(dst);
   // Envelope + data on the wire; 0-byte messages still cost an envelope.
   co_await machine().network().transfer(node_, peer.node_, bytes + 32);
   peer.deliver(std::move(m));
-}
-
-namespace {
-simkit::Task<void> isend_body(Comm& c, Rank dst, int tag,
-                              std::uint64_t bytes,
-                              std::vector<std::byte> data) {
-  co_await c.send(dst, tag, bytes, data);
-}
-}  // namespace
-
-simkit::ProcHandle Comm::isend(Rank dst, int tag, std::uint64_t bytes,
-                               std::span<const std::byte> payload) {
-  // The payload is captured NOW: coroutine by-value parameters are copied
-  // into the frame at call time, so the caller may reuse its buffer
-  // immediately (MPI buffered-send semantics).
-  std::vector<std::byte> copy(payload.begin(), payload.end());
-  return engine().spawn(isend_body(*this, dst, tag, bytes, std::move(copy)),
-                        "isend");
 }
 
 void Comm::deliver(Message m) {
@@ -63,27 +61,15 @@ void Comm::deliver(Message m) {
   mailbox_.push_back(std::move(m));
 }
 
-simkit::Task<Message> Comm::recv(Rank src, int tag) {
-  // Fast path: already in the mailbox.
+bool Comm::take_mail(Rank src, int tag, std::optional<Message>& slot) {
   for (auto it = mailbox_.begin(); it != mailbox_.end(); ++it) {
     if (matches(*it, src, tag)) {
-      Message m = std::move(*it);
+      slot.emplace(std::move(*it));
       mailbox_.erase(it);
-      co_return m;
+      return true;
     }
   }
-  struct RecvAwaiter {
-    Comm& comm;
-    Rank src;
-    int tag;
-    std::optional<Message> slot;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      comm.recvers_.push_back(PendingRecv{src, tag, &slot, h});
-    }
-    Message await_resume() { return std::move(*slot); }
-  };
-  co_return co_await RecvAwaiter{*this, src, tag, std::nullopt};
+  return false;
 }
 
 Cluster::Cluster(hw::Machine& machine, int nprocs) : machine_(machine) {

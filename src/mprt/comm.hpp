@@ -7,6 +7,10 @@
 // waits in the receiver's mailbox.  Collectives are built on top in
 // collectives.hpp with real tree/pairwise algorithms so their network
 // costs emerge from point-to-point timing.
+//
+// A message costs two coroutine frames: the send body and its
+// hw::Network::transfer.  recv() is a frameless awaiter whose message
+// slot lives in the receiver's own frame (DESIGN.md §14 and §16).
 #pragma once
 
 #include <cassert>
@@ -71,12 +75,31 @@ class Comm {
   /// optionally carries real content — empty, exactly `bytes` long, or
   /// (for framed collective routing) shorter than `bytes` when part of
   /// the simulated volume is timing-only.  Receivers must size content
-  /// off payload.size(), never off bytes.
+  /// off payload.size(), never off bytes.  The payload is copied when
+  /// send is called, so the caller's buffer is free once it returns.
   simkit::Task<void> send(Rank dst, int tag, std::uint64_t bytes,
                           std::span<const std::byte> payload = {});
 
-  /// Receive the first matching message (FIFO per matching stream).
-  simkit::Task<Message> recv(Rank src = kAnySource, int tag = kAnyTag);
+  /// Awaiter of recv(); co_await it where it is made.
+  struct [[nodiscard]] Recv {
+    Comm& comm;
+    Rank src;
+    int tag;
+    std::optional<Message> slot;
+
+    bool await_ready() { return comm.take_mail(src, tag, slot); }
+    void await_suspend(std::coroutine_handle<> h) {
+      comm.recvers_.push_back(PendingRecv{src, tag, &slot, h});
+    }
+    Message await_resume() { return std::move(*slot); }
+  };
+
+  /// Receive the first matching message (FIFO per matching stream).  The
+  /// mailbox is searched when the co_await starts; a receiver that has
+  /// to wait is scheduled by the delivering send.
+  Recv recv(Rank src = kAnySource, int tag = kAnyTag) {
+    return Recv{*this, src, tag, std::nullopt};
+  }
 
   /// Nonblocking send: returns immediately with a handle; join it (or use
   /// waitall) to wait for the network transfer to complete.  Payload
@@ -101,7 +124,11 @@ class Comm {
   Comm(Cluster* cluster, Rank rank, hw::NodeId node)
       : cluster_(cluster), rank_(rank), node_(node) {}
 
+  simkit::Task<void> send_owned(Rank dst, int tag, std::uint64_t bytes,
+                                std::vector<std::byte> payload);
   void deliver(Message m);
+  /// Move the first mailbox message matching (src, tag) into `slot`.
+  bool take_mail(Rank src, int tag, std::optional<Message>& slot);
   static bool matches(const Message& m, Rank src, int tag) {
     return (src == kAnySource || m.src == src) &&
            (tag == kAnyTag || m.tag == tag);

@@ -181,8 +181,11 @@ simkit::Task<void> IoNode::process(hw::AccessKind kind, hw::NodeId client,
   }
   const simkit::Time t0 = eng_.now();
 
-  // 1. Daemon CPU: strictly serialized per-node, the per-call cost.
-  co_await front_.use_for(simkit::milliseconds(io_.server_overhead_ms));
+  // 1. Daemon CPU: strictly serialized per-node, the per-call cost,
+  // held inline so a request pays no sub-task frame for it.
+  co_await front_.acquire();
+  co_await eng_.delay(simkit::milliseconds(io_.server_overhead_ms));
+  front_.release();
   check_faults();
 
   const iosrv::BlockKey key{file, local_offset / io_.stripe_unit_bytes};

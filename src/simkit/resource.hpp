@@ -62,8 +62,11 @@ class Resource {
     }
   }
 
-  /// acquire(n); delay(hold); release(n) — the common "serve for a
-  /// duration" pattern (e.g. occupy a NIC for bytes/bandwidth seconds).
+  /// acquire(n); delay(hold); release(n) — the "serve for a duration"
+  /// pattern, as a sub-task with its own coroutine frame.  Hot paths
+  /// (hw::Network::transfer, pfs::IoNode::process) write the three
+  /// steps inline instead, which saves that frame; use_for is for cold
+  /// paths and tests (DESIGN.md §14, frame budget).
   Task<void> use_for(Duration hold, std::uint64_t n = 1) {
     co_await acquire(n);
     co_await eng_.delay(hold);

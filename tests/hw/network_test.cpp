@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "simkit/engine.hpp"
+#include "simkit/framepool.hpp"
 
 namespace hw {
 namespace {
@@ -119,6 +121,80 @@ TEST(Network, BaseTransferTimeMatchesUncontendedRun) {
   }(eng, net, done_at));
   eng.run();
   EXPECT_NEAR(done_at, est, 1e-9);
+}
+
+// transfer() holds its NICs in its own frame: one frame per call, local
+// or remote (awaiting Resource::use_for for each NIC would add two).
+TEST(Network, TransferAllocatesOneFrame) {
+  using simkit::detail::FramePool;
+  simkit::Engine eng;
+  Network net(eng, std::make_unique<MeshTopology>(4, 4), fast_params());
+  std::uint64_t remote = 0, local = 0;
+  eng.spawn([](Network& n, std::uint64_t& remote,
+               std::uint64_t& local) -> simkit::Task<void> {
+    auto before = FramePool::stats().allocs;
+    co_await n.transfer(0, 3, 1'000'000);
+    remote = FramePool::stats().allocs - before;
+    before = FramePool::stats().allocs;
+    co_await n.transfer(2, 2, 1'000'000);
+    local = FramePool::stats().allocs - before;
+  }(net, remote, local));
+  eng.run();
+  EXPECT_EQ(remote, 1u);
+  EXPECT_EQ(local, 1u);
+}
+
+// Senders queued on one source NIC and on one destination NIC, with
+// staggered starts and same-instant ties: every completion time and the
+// completion order are pinned, so the NIC holds keep the exact schedule
+// (FIFO grants, same instants, same tie-breaks).
+TEST(Network, ContendedTransfersKeepExactSchedule) {
+  struct Flow {
+    int id;
+    NodeId src, dst;
+    std::uint64_t bytes;
+    double start;
+  };
+  const std::vector<Flow> flows = {
+      {0, 0, 5, 1'000'000, 0.0},    // source NIC 0 and destination NIC 5
+      {1, 0, 9, 400'000, 0.0},      // same instant, same source NIC
+      {2, 2, 5, 250'000, 0.0},      // destination NIC 5
+      {3, 1, 5, 1'500'000, 0.001},  // destination NIC 5
+      {4, 0, 6, 500'000, 0.002},    // source NIC 0
+      {5, 0, 15, 2'000'000, 0.003}, // source NIC 0
+      {6, 3, 6, 1'000'000, 0.004},  // destination NIC 6
+      {7, 4, 5, 100'000, 0.0105},   // destination NIC 5, mid-queue
+  };
+  simkit::Engine eng;
+  Network net(eng, std::make_unique<MeshTopology>(4, 4), fast_params());
+  std::vector<std::pair<int, double>> done;
+  for (const Flow& f : flows) {
+    eng.spawn([](simkit::Engine& e, Network& n, Flow f,
+                 std::vector<std::pair<int, double>>& out)
+                  -> simkit::Task<void> {
+      co_await e.delay(f.start);
+      co_await n.transfer(f.src, f.dst, f.bytes);
+      out.emplace_back(f.id, e.now());
+    }(eng, net, f, done));
+  }
+  eng.run();
+  // Flow 7 reaches NIC 5 before flow 3 and is served first; flows 4
+  // and 5 queue on NIC 0 behind the same-instant pair 0 and 1.
+  const std::vector<std::pair<int, double>> want = {
+      {2, 0.005012},
+      {1, 0.018013000000000001},
+      {0, 0.020012000000000002},
+      {7, 0.021012000000000003},
+      {6, 0.024011999999999999},
+      {4, 0.029012},
+      {3, 0.036012000000000002},
+      {5, 0.059015999999999999},
+  };
+  ASSERT_EQ(done.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(done[i].first, want[i].first) << "completion " << i;
+    EXPECT_DOUBLE_EQ(done[i].second, want[i].second) << "completion " << i;
+  }
 }
 
 }  // namespace

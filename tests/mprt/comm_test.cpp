@@ -9,6 +9,7 @@
 
 #include "hw/machine.hpp"
 #include "simkit/engine.hpp"
+#include "simkit/framepool.hpp"
 
 namespace mprt {
 namespace {
@@ -35,6 +36,31 @@ TEST(Comm, PingPong) {
     }
   });
   EXPECT_EQ(log, (std::vector<int>{7, 8}));
+}
+
+// A message costs the send body and its network transfer, nothing more:
+// recv runs in the receiver's frame and transfer holds its NICs inline.
+// The window opens when rank 0 starts, after every rank frame exists.
+TEST(Comm, PingPongAllocatesTwoFramesPerMessage) {
+  using simkit::detail::FramePool;
+  Rig rig;
+  std::uint64_t start = 0, end = 0;
+  bool started = false;
+  Cluster::execute(rig.machine, 2, [&](Comm& c) -> simkit::Task<void> {
+    if (!started) {
+      started = true;
+      start = FramePool::stats().allocs;
+    }
+    if (c.rank() == 0) {
+      co_await c.send(1, 7, 100);
+      (void)co_await c.recv(1, 8);
+    } else {
+      (void)co_await c.recv(0, 7);
+      co_await c.send(0, 8, 100);
+    }
+    end = FramePool::stats().allocs;
+  });
+  EXPECT_EQ(end - start, 4u);
 }
 
 TEST(Comm, PayloadDeliveredIntact) {
