@@ -50,14 +50,19 @@ void wl_timer(simkit::Engine& eng, int rounds) {
 }
 
 /// 64 coroutines contending for a 4-slot resource: the FIFO grant path
-/// (suspend, queue, hand-off) every PFS daemon and disk arm lives on.
+/// (suspend, queue, hand-off) every PFS daemon and disk arm lives on,
+/// held inline in the caller's frame the way hw::Network::transfer and
+/// pfs::IoNode::process hold their NICs and daemon front ends.
 void wl_resource(simkit::Engine& eng, simkit::Resource& res, int rounds) {
   for (int p = 0; p < 64; ++p) {
-    eng.spawn([](simkit::Resource& r, int n) -> simkit::Task<void> {
+    eng.spawn([](simkit::Engine& e, simkit::Resource& r,
+                 int n) -> simkit::Task<void> {
       for (int i = 0; i < n; ++i) {
-        co_await r.use_for(1e-5);
+        co_await r.acquire();
+        co_await e.delay(1e-5);
+        r.release();
       }
-    }(res, rounds));
+    }(eng, res, rounds));
   }
 }
 

@@ -8,9 +8,8 @@
 #include <cstdio>
 
 #include "apps/scf.hpp"
-#include "exp/table.hpp"
+#include "exp/report.hpp"
 #include "scenario/scenario.hpp"
-#include "trace/tracer.hpp"
 
 namespace {
 
@@ -33,25 +32,20 @@ void run(scenario::Context& ctx) {
   const apps::RunResult& orig = results[0];
   const apps::RunResult& pass = results[1];
 
-  // The paper's "% of exec time" is relative to summed per-process time.
-  ctx.printf("%s\n",
-             trace::format_io_summary(
-                 orig.trace, orig.exec_time * 4,
-                 "Table 2: SCF 1.1 original (Fortran I/O), LARGE, 4 procs"
-                 " [total I/O " +
-                     expt::fmt("%.1f", orig.io_time / 3600.0) + " h]")
-                 .c_str());
-  ctx.printf("%s\n",
-             trace::format_io_summary(
-                 pass.trace, pass.exec_time * 4,
-                 "Table 3: SCF 1.1 PASSION version, LARGE, 4 procs"
-                 " [total I/O " +
-                     expt::fmt("%.1f", pass.io_time / 3600.0) + " h]")
-                 .c_str());
+  const char* titles[] = {
+      "Table 2: SCF 1.1 original (Fortran I/O), LARGE, 4 procs",
+      "Table 3: SCF 1.1 PASSION version, LARGE, 4 procs"};
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const apps::RunResult& r = results[i];
+    // The paper's "% of exec time" is relative to summed per-process time.
+    const expt::Table t = expt::io_summary_table(r.trace, r.exec_time * 4);
+    ctx.printf("%s [total I/O %.1f h]\n%s\n", titles[i], r.io_time / 3600.0,
+               ctx.table(t).c_str());
+  }
   ctx.printf("I/O-time ratio original/PASSION: %.2f (paper: 1.78)\n\n",
              orig.io_time / pass.io_time);
   ctx.printf("Read-latency distribution (original):\n%s\n",
-             trace::format_latency_quantiles(orig.trace).c_str());
+             ctx.table(expt::latency_table(orig.trace)).c_str());
 
   const auto& oread = orig.trace.summary(pfs::OpKind::kRead);
   const auto& pread = pass.trace.summary(pfs::OpKind::kRead);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "exp/report.hpp"
 #include "hw/machine.hpp"
 #include "mprt/collectives.hpp"
 #include "mprt/comm.hpp"
@@ -49,10 +50,8 @@ int main() {
   // Merged job-level summary (what the paper's tables show).
   trace::IoTracer merged;
   for (const auto& t : tracers) merged.merge(t);
-  std::printf("%s\n",
-              trace::format_io_summary(merged, elapsed * 4,
-                                       "BTIO-style job, 4 processors")
-                  .c_str());
+  std::printf("BTIO-style job, 4 processors\n%s\n",
+              expt::io_summary_table(merged, elapsed * 4).str().c_str());
 
   // Per-processor SDDF streams concatenated into one trace file.
   std::ofstream out("pablo_trace.sddf");

@@ -56,9 +56,8 @@ int main() {
 
   // 4. Results: simulated wall time plus the per-operation breakdown.
   std::printf("simulated execution time: %.2f s\n\n", elapsed);
-  std::printf("%s\n", trace::format_io_summary(tracer, elapsed * 4,
-                                               "quickstart I/O summary")
-                          .c_str());
+  std::printf("quickstart I/O summary\n%s\n",
+              expt::io_summary_table(tracer, elapsed * 4).str().c_str());
   std::printf("disk ops: %llu reads, %llu writes across %zu I/O nodes\n\n",
               static_cast<unsigned long long>(fs.total_disk_reads()),
               static_cast<unsigned long long>(fs.total_disk_writes()),

@@ -16,7 +16,6 @@
 #include "mprt/comm.hpp"
 #include "pario/twophase.hpp"
 #include "pfs/types.hpp"
-#include "simkit/resource.hpp"
 
 namespace ckpt {
 
@@ -496,22 +495,10 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
   // must not crash the job, it only weakens the restore chain.
   std::vector<std::optional<simkit::ProcHandle>> prev_drain(
       static_cast<std::size_t>(w.nprocs));
-  // Bounded drain concurrency (Options::io_fan_in): at scale, P parallel
-  // drain streams would bury the I/O partition; a job-wide slot pool caps
-  // them the same way the leader topology caps the collective fan-in.
-  std::optional<simkit::Resource> drain_slots;
-  if (opt.io_fan_in > 0) {
-    drain_slots.emplace(eng, static_cast<std::uint64_t>(opt.io_fan_in));
-  }
   auto drain_body = [&](std::shared_ptr<AsyncRec> rec, int r,
                         hw::NodeId node,
                         std::vector<pario::Extent> pieces)
       -> simkit::Task<void> {
-    std::optional<simkit::ScopedLease> lease;
-    if (drain_slots) {
-      lease.emplace(*drain_slots);
-      co_await lease->acquire();
-    }
     const simkit::Time d0 = eng.now();
     bool ok = true;
     try {
@@ -821,13 +808,6 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
   for (;;) {
     st.failed = false;
     mprt::Cluster cluster(machine, w.nprocs);
-    if (opt.io_fan_in > 0) {
-      // ~io_fan_in leader groups: the leaders are the two-phase
-      // aggregators, and member->leader traffic rides the same routing.
-      const int width = (w.nprocs + opt.io_fan_in - 1) / opt.io_fan_in;
-      cluster.set_topology(
-          {mprt::CollectiveTopology::Kind::kTwoLevel, width});
-    }
     simkit::ProcHandle main =
         eng.spawn(cluster.run(rank_body), "ckpt." + w.name);
     // Step (not run): a full drain would also consume future fault edges

@@ -161,16 +161,6 @@ struct Options {
   /// Hedge multiple for restore reads when health_aware (see
   /// pario::RetryPolicy::hedge_latency_multiple); 0 disables hedging.
   double hedge_latency_multiple = 3.0;
-
-  /// Bounded aggregator fan-in for checkpoint traffic at scale.  0 (the
-  /// default) keeps the legacy shape: flat collectives, every rank doing
-  /// file I/O, and one concurrent background drain stream per rank.
-  /// N > 0 routes the coordinated checkpoint collectives over a two-level
-  /// leader topology with ~N groups — the leaders aggregate the file I/O
-  /// (see pario::TwoPhaseOptions::aggregators) — and caps concurrent
-  /// async drain writers at N job-wide, so a thousand-rank job presents
-  /// the I/O partition with N streams instead of P (DESIGN.md §16).
-  int io_fan_in = 0;
 };
 
 struct Report {

@@ -2,9 +2,55 @@
 
 #include <algorithm>
 
-#include "exp/table.hpp"
-
 namespace expt {
+
+namespace {
+
+constexpr auto kKinds = static_cast<std::size_t>(pfs::OpKind::kCount);
+
+std::string pct(double part, double whole) {
+  return fmt("%.2f", whole > 0 ? 100.0 * part / whole : 0.0);
+}
+
+}  // namespace
+
+Table io_summary_table(const trace::IoTracer& tracer,
+                       simkit::Duration exec_time) {
+  Table table({"Oper", "Oper Count", "I/O Time (s)", "Vol (GB)", "% of I/O",
+               "% of exec"});
+  const double io_total = tracer.total_io_time();
+  auto add = [&](std::string name, std::uint64_t count, double time_s,
+                 std::uint64_t bytes) {
+    table.add_row({std::move(name), fmt_u64(count), fmt("%.2f", time_s),
+                   bytes > 0 ? fmt("%.2f", static_cast<double>(bytes) / 1e9)
+                             : "",
+                   pct(time_s, io_total), pct(time_s, exec_time)});
+  };
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    const auto kind = static_cast<pfs::OpKind>(k);
+    const trace::KindSummary& s = tracer.summary(kind);
+    if (s.count > 0) {
+      add(std::string(pfs::to_string(kind)), s.count, s.time, s.bytes);
+    }
+  }
+  add("All I/O", tracer.total_ops(), io_total, tracer.total_bytes());
+  return table;
+}
+
+Table latency_table(const trace::IoTracer& tracer) {
+  Table table({"Oper", "mean ms", "~p50 ms", "~p99 ms", "max ms"});
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    const auto kind = static_cast<pfs::OpKind>(k);
+    const metrics::Histogram& h = tracer.summary(kind).latency;
+    if (h.count() == 0) continue;
+    table.add_row({std::string(pfs::to_string(kind)),
+                   fmt("%.2f", h.mean() * 1e3),
+                   fmt("%.2f", h.percentile(0.50) * 1e3),
+                   fmt("%.2f", h.percentile(0.99) * 1e3),
+                   fmt("%.2f", h.max() * 1e3)});
+  }
+  return table;
+}
 
 IoNodeUtilization io_node_utilization(const pfs::StripedFs& fs,
                                       std::size_t node, double elapsed) {
@@ -86,18 +132,6 @@ std::string metrics_report(const metrics::Registry& reg) {
     out += t.str();
   }
   return out;
-}
-
-double io_imbalance(pfs::StripedFs& fs) {
-  std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
-  for (std::size_t i = 0; i < fs.io_node_count(); ++i) {
-    const std::uint64_t r = fs.io_node(i).requests_served();
-    lo = std::min(lo, r);
-    hi = std::max(hi, r);
-  }
-  if (fs.io_node_count() == 0 || hi == 0) return 1.0;
-  return lo == 0 ? static_cast<double>(hi)
-                 : static_cast<double>(hi) / static_cast<double>(lo);
 }
 
 }  // namespace expt

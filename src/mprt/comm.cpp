@@ -19,16 +19,6 @@ simkit::Task<void> Comm::send(Rank dst, int tag, std::uint64_t bytes,
                     std::vector<std::byte>(payload.begin(), payload.end()));
 }
 
-simkit::ProcHandle Comm::isend(Rank dst, int tag, std::uint64_t bytes,
-                               std::span<const std::byte> payload) {
-  // The payload is captured NOW, so the caller may reuse its buffer
-  // immediately (MPI buffered-send semantics).
-  return engine().spawn(
-      send_owned(dst, tag, bytes,
-                 std::vector<std::byte>(payload.begin(), payload.end())),
-      "isend");
-}
-
 simkit::Task<void> Comm::send_owned(Rank dst, int tag, std::uint64_t bytes,
                                     std::vector<std::byte> payload) {
   assert(dst >= 0 && dst < size());

@@ -101,12 +101,6 @@ class Comm {
     return Recv{*this, src, tag, std::nullopt};
   }
 
-  /// Nonblocking send: returns immediately with a handle; join it (or use
-  /// waitall) to wait for the network transfer to complete.  Payload
-  /// bytes are captured at call time.
-  simkit::ProcHandle isend(Rank dst, int tag, std::uint64_t bytes,
-                           std::span<const std::byte> payload = {});
-
   /// Next tag for internal collective rounds; stays in lock-step across
   /// ranks because collectives are called in SPMD order.
   int next_collective_tag() { return kCollectiveTagBase + (coll_seq_++ & 0xFFFF); }
@@ -190,10 +184,5 @@ class Cluster {
   std::map<int, std::shared_ptr<void>> rendezvous_;
   CollectiveTopology topology_;
 };
-
-/// Wait for a set of nonblocking operations (MPI_Waitall).
-inline simkit::Task<void> waitall(std::vector<simkit::ProcHandle> requests) {
-  for (auto& r : requests) co_await r.join();
-}
 
 }  // namespace mprt

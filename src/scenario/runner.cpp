@@ -1,12 +1,10 @@
 #include "scenario/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 namespace scenario {
 
@@ -115,8 +113,8 @@ int run_scenarios(const std::vector<const Spec*>& specs,
   const auto t0 = std::chrono::steady_clock::now();
 
   // Simulator scenarios fan out across the budget; wall-clock scenarios
-  // (google-benchmark micros share mutable library state) run serially
-  // on this thread once the parallel batch has drained.
+  // (their output is host timing) run serially on this thread once the
+  // parallel batch has drained.
   std::vector<std::size_t> parallel, serial;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     (specs[i]->wallclock ? serial : parallel).push_back(i);
@@ -128,23 +126,8 @@ int run_scenarios(const std::vector<const Spec*>& specs,
                      &budget);
   };
 
-  if (!parallel.empty()) {
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      for (std::size_t k = next.fetch_add(1); k < parallel.size();
-           k = next.fetch_add(1)) {
-        run_at(parallel[k]);
-      }
-    };
-    const int granted = budget.acquire(
-        static_cast<int>(parallel.size()) - 1);
-    std::vector<std::thread> helpers;
-    helpers.reserve(static_cast<std::size_t>(granted));
-    for (int t = 0; t < granted; ++t) helpers.emplace_back(worker);
-    worker();
-    for (std::thread& t : helpers) t.join();
-    budget.release(granted);
-  }
+  budget.parallel_for(parallel.size(),
+                      [&](std::size_t k) { run_at(parallel[k]); });
   for (std::size_t i : serial) run_at(i);
 
   // Print in request order; stdout carries only scenario output (plus a
@@ -191,16 +174,15 @@ void list_scenarios() {
   for (const Spec* s : all) width = std::max(width, s->name.size());
   for (const Spec* s : all) {
     std::string grid;
-    std::size_t points = 1;
     for (const Axis& a : s->grid) {
       if (!grid.empty()) grid += " x ";
       grid += a.name + "(" + std::to_string(a.values.size()) + ")";
-      points *= a.values.size();
     }
     std::printf("%-*s  %s%s", static_cast<int>(width), s->name.c_str(),
                 s->title.c_str(), s->wallclock ? " [wall-clock]" : "");
     if (!s->grid.empty()) {
-      std::printf("  [grid: %s = %zu points]", grid.c_str(), points);
+      std::printf("  [grid: %s = %zu points]", grid.c_str(),
+                  grid_size(s->grid));
     }
     std::printf("\n");
     if (!s->description.empty()) {

@@ -21,17 +21,25 @@ std::size_t grid_size(const std::vector<Axis>& grid) {
   return n;
 }
 
-GridPoint grid_point(const std::vector<Axis>& grid, std::size_t index) {
-  GridPoint p;
-  p.index = index;
-  p.coord.resize(grid.size(), 0);
-  // Row-major, last axis fastest: peel from the innermost axis.
-  for (std::size_t a = grid.size(); a-- > 0;) {
-    const std::size_t n = grid[a].values.size();
-    p.coord[a] = index % n;
-    index /= n;
-  }
-  return p;
+// -- JobBudget --------------------------------------------------------------
+
+void JobBudget::parallel_for(std::size_t n,
+                             const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
+  const int granted =
+      acquire(static_cast<int>(std::min<std::size_t>(n - 1, 1024)));
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      fn(i);
+    }
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(static_cast<std::size_t>(granted));
+  for (int t = 0; t < granted; ++t) helpers.emplace_back(worker);
+  worker();
+  for (std::thread& t : helpers) t.join();
+  release(granted);
 }
 
 // -- Context ----------------------------------------------------------------
@@ -119,26 +127,10 @@ void Context::for_each_point(std::size_t n,
     }
   };
 
-  const int granted =
-      budget_ ? budget_->acquire(static_cast<int>(
-                    std::min<std::size_t>(n - 1, 1024)))
-              : 0;
-  if (granted == 0) {
-    for (std::size_t i = 0; i < n; ++i) run_point(i);
+  if (budget_) {
+    budget_->parallel_for(n, run_point);
   } else {
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      for (std::size_t i = next.fetch_add(1); i < n;
-           i = next.fetch_add(1)) {
-        run_point(i);
-      }
-    };
-    std::vector<std::thread> helpers;
-    helpers.reserve(static_cast<std::size_t>(granted));
-    for (int t = 0; t < granted; ++t) helpers.emplace_back(worker);
-    worker();
-    for (std::thread& t : helpers) t.join();
-    budget_->release(granted);
+    for (std::size_t i = 0; i < n; ++i) run_point(i);
   }
 
   // Fold per-point registries back in point order so the merged registry

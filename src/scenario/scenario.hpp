@@ -51,6 +51,14 @@ class JobBudget {
   }
   void release(int n) { tokens_.fetch_add(n); }
 
+  /// Run fn(i) for every i in [0, n): the calling thread plus as many
+  /// helper threads as there are free tokens (at most 1024, and never
+  /// more than n - 1) take indices from a shared counter.  The tokens
+  /// return once every index is done.  `fn` must not throw; it runs on
+  /// the helper threads.
+  void parallel_for(std::size_t n,
+                    const std::function<void(std::size_t)>& fn);
+
  private:
   std::atomic<int> tokens_;
 };
@@ -61,22 +69,8 @@ struct Axis {
   std::vector<std::string> values;
 };
 
-/// A position in the expanded grid.  `coord[a]` is the value index on
-/// axis `a`; expansion is row-major with the LAST axis fastest, so the
-/// expansion order matches the nested loops the bench binaries used to
-/// write (outer axis first).
-struct GridPoint {
-  std::size_t index = 0;
-  std::vector<std::size_t> coord;
-
-  std::size_t at(std::size_t axis) const { return coord.at(axis); }
-};
-
 /// Number of points in the cartesian product (1 for an empty grid).
 std::size_t grid_size(const std::vector<Axis>& grid);
-
-/// The `index`-th point of the expansion (see GridPoint for the order).
-GridPoint grid_point(const std::vector<Axis>& grid, std::size_t index);
 
 class Context;
 
@@ -98,8 +92,9 @@ struct Spec {
   std::string description;
   double default_scale = 1.0;
   std::vector<Axis> grid;   // declarative grid (may be empty)
-  // Output contains host wall-clock timings (google-benchmark micros):
-  // excluded from golden/repeat gates and run serially.
+  // Output contains host wall-clock timings (engine_bench): excluded
+  // from golden/repeat gates and run serially, so no other scenario
+  // competes with it for cores.
   bool wallclock = false;
   std::function<void(Context&)> run;
 };
@@ -126,10 +121,7 @@ class Context {
   void run(const Spec& spec);
 
   // -- output ---------------------------------------------------------
-  void print(std::string_view s) { out_ << s; }
   void printf(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-  /// Raw stream for code that wants an std::ostream (micro reporters).
-  std::ostream& stream() { return out_; }
   std::string output() const { return out_.str(); }
   /// `t` rendered as CSV under --csv, as the ASCII table otherwise.
   std::string table(const expt::Table& t) const;

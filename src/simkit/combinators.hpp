@@ -1,4 +1,4 @@
-// simkit/combinators.hpp — fork/join helpers over Task<void>.
+// simkit/combinators.hpp — fork/join over Task<void>.
 #pragma once
 
 #include <utility>
@@ -25,14 +25,6 @@ inline Task<void> when_all(Engine& eng, std::vector<Task<void>> tasks) {
     }
   }
   if (first_error) std::rethrow_exception(first_error);
-}
-
-/// Run two tasks concurrently; resume when both are done.
-inline Task<void> both(Engine& eng, Task<void> a, Task<void> b) {
-  std::vector<Task<void>> v;
-  v.push_back(std::move(a));
-  v.push_back(std::move(b));
-  co_await when_all(eng, std::move(v));
 }
 
 }  // namespace simkit

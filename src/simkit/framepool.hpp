@@ -1,8 +1,8 @@
 // simkit/framepool.hpp — size-class recycler for coroutine frames.
 //
 // Every awaited sub-task and every spawned process allocates a
-// coroutine frame; in allocation-heavy simulations (per-call Resource
-// holds, spawn/join churn) the malloc/free pair is the single largest
+// coroutine frame; in allocation-heavy simulations (per-message sends,
+// spawn/join churn) the malloc/free pair is the single largest
 // per-event cost.  The pool keeps freed blocks on per-size-class free
 // lists and hands them back to the next same-class allocation: a frame
 // "allocation" becomes two pointer moves.

@@ -62,17 +62,6 @@ class Resource {
     }
   }
 
-  /// acquire(n); delay(hold); release(n) — the "serve for a duration"
-  /// pattern, as a sub-task with its own coroutine frame.  Hot paths
-  /// (hw::Network::transfer, pfs::IoNode::process) write the three
-  /// steps inline instead, which saves that frame; use_for is for cold
-  /// paths and tests (DESIGN.md §14, frame budget).
-  Task<void> use_for(Duration hold, std::uint64_t n = 1) {
-    co_await acquire(n);
-    co_await eng_.delay(hold);
-    release(n);
-  }
-
  private:
   struct Waiter {
     std::coroutine_handle<> h;
@@ -83,37 +72,6 @@ class Resource {
   std::uint64_t capacity_;
   std::uint64_t available_;
   std::deque<Waiter> waiters_;
-};
-
-/// RAII lease over a Resource unit count.  Release happens at scope exit;
-/// acquisition is explicit (co_await lease.acquire()).
-class ScopedLease {
- public:
-  explicit ScopedLease(Resource& r, std::uint64_t n = 1) : r_(&r), n_(n) {}
-  ScopedLease(const ScopedLease&) = delete;
-  ScopedLease& operator=(const ScopedLease&) = delete;
-  ~ScopedLease() {
-    if (held_) r_->release(n_);
-  }
-
-  auto acquire() {
-    struct Awaiter {
-      ScopedLease& l;
-      decltype(std::declval<Resource>().acquire()) inner;
-      bool await_ready() noexcept { return inner.await_ready(); }
-      void await_suspend(std::coroutine_handle<> h) { inner.await_suspend(h); }
-      void await_resume() noexcept {
-        inner.await_resume();
-        l.held_ = true;
-      }
-    };
-    return Awaiter{*this, r_->acquire(n_)};
-  }
-
- private:
-  Resource* r_;
-  std::uint64_t n_;
-  bool held_ = false;
 };
 
 }  // namespace simkit

@@ -41,21 +41,4 @@ class Trigger {
   std::vector<std::coroutine_handle<>> waiters_;
 };
 
-/// Countdown latch: fires once `count` arrivals have occurred.  Used for
-/// fork/join over a known number of sub-operations.
-class Latch {
- public:
-  explicit Latch(std::size_t count) : remaining_(count) {}
-
-  void arrive(Engine& eng) {
-    if (remaining_ > 0 && --remaining_ == 0) done_.fire(eng);
-  }
-  auto wait() { return done_.wait(); }
-  std::size_t remaining() const noexcept { return remaining_; }
-
- private:
-  std::size_t remaining_;
-  Trigger done_;
-};
-
 }  // namespace simkit

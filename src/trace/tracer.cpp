@@ -1,7 +1,5 @@
 #include "trace/tracer.hpp"
 
-#include <cstdio>
-
 namespace trace {
 
 std::uint64_t IoTracer::total_ops() const {
@@ -25,97 +23,6 @@ std::uint64_t IoTracer::total_bytes() const {
 void IoTracer::clear() {
   byKind_ = {};
   events_.clear();
-}
-
-namespace {
-
-void append_row(std::string& out, const char* name, std::uint64_t count,
-                double time_s, std::uint64_t bytes, double pct_io,
-                double pct_exec) {
-  char line[160];
-  if (bytes > 0) {
-    std::snprintf(line, sizeof line,
-                  "| %-7s | %12llu | %14.2f | %8.2f | %8.2f | %9.2f |\n",
-                  name, static_cast<unsigned long long>(count), time_s,
-                  static_cast<double>(bytes) / 1e9, pct_io, pct_exec);
-  } else {
-    std::snprintf(line, sizeof line,
-                  "| %-7s | %12llu | %14.2f | %8s | %8.2f | %9.2f |\n",
-                  name, static_cast<unsigned long long>(count), time_s, "",
-                  pct_io, pct_exec);
-  }
-  out += line;
-}
-
-}  // namespace
-
-std::string format_io_summary(const IoTracer& tracer,
-                              simkit::Duration exec_time,
-                              const std::string& title) {
-  const double io_total = tracer.total_io_time();
-  std::string out;
-  out += title + "\n";
-  out +=
-      "| Oper    |   Oper Count |   I/O Time (s) | Vol (GB) | % of I/O "
-      "| % of exec |\n";
-  out +=
-      "|---------|--------------|----------------|----------|----------"
-      "|-----------|\n";
-  for (std::size_t k = 0; k < static_cast<std::size_t>(pfs::OpKind::kCount);
-       ++k) {
-    const auto kind = static_cast<pfs::OpKind>(k);
-    const auto& s = tracer.summary(kind);
-    if (s.count == 0) continue;
-    append_row(out, std::string(pfs::to_string(kind)).c_str(), s.count,
-               s.time, s.bytes, io_total > 0 ? 100.0 * s.time / io_total : 0,
-               exec_time > 0 ? 100.0 * s.time / exec_time : 0);
-  }
-  append_row(out, "All I/O", tracer.total_ops(), io_total,
-             tracer.total_bytes(), io_total > 0 ? 100.0 : 0.0,
-             exec_time > 0 ? 100.0 * io_total / exec_time : 0);
-  return out;
-}
-
-std::string io_summary_csv(const IoTracer& tracer,
-                           simkit::Duration exec_time) {
-  const double io_total = tracer.total_io_time();
-  std::string out = "oper,count,time_s,bytes,pct_io,pct_exec\n";
-  char line[160];
-  for (std::size_t k = 0; k < static_cast<std::size_t>(pfs::OpKind::kCount);
-       ++k) {
-    const auto kind = static_cast<pfs::OpKind>(k);
-    const auto& s = tracer.summary(kind);
-    std::snprintf(line, sizeof line, "%s,%llu,%.6f,%llu,%.4f,%.4f\n",
-                  std::string(pfs::to_string(kind)).c_str(),
-                  static_cast<unsigned long long>(s.count), s.time,
-                  static_cast<unsigned long long>(s.bytes),
-                  io_total > 0 ? 100.0 * s.time / io_total : 0.0,
-                  exec_time > 0 ? 100.0 * s.time / exec_time : 0.0);
-    out += line;
-  }
-  return out;
-}
-
-std::string format_latency_quantiles(const IoTracer& tracer) {
-  std::string out =
-      "| Oper    |   mean ms |    ~p50 ms |    ~p99 ms |    max ms |\n"
-      "|---------|-----------|------------|------------|-----------|\n";
-  char line[160];
-  for (std::size_t k = 0; k < static_cast<std::size_t>(pfs::OpKind::kCount);
-       ++k) {
-    const auto kind = static_cast<pfs::OpKind>(k);
-    const auto& s = tracer.summary(kind);
-    if (s.count == 0) continue;
-    std::snprintf(line, sizeof line,
-                  "| %-7s | %9.2f | %10.2f | %10.2f | %9.2f |\n",
-                  std::string(pfs::to_string(kind)).c_str(),
-                  s.latency.mean() * 1e3,
-                  s.latency_hist.quantile_upper_bound(0.50) * 1e3,
-                  s.latency_hist.quantile_upper_bound(0.99) * 1e3,
-                  s.latency.max() * 1e3);
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace trace

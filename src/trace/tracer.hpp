@@ -9,11 +9,10 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "metrics/metrics.hpp"
 #include "pfs/types.hpp"
-#include "simkit/stats.hpp"
 #include "simkit/time.hpp"
 
 namespace trace {
@@ -29,9 +28,8 @@ struct KindSummary {
   std::uint64_t count = 0;
   simkit::Duration time = 0.0;
   std::uint64_t bytes = 0;
-  simkit::RunningStat latency;
-  /// Latency distribution on a log2 scale (unit 0.1 ms).
-  simkit::Log2Histogram latency_hist{1e-4, 32};
+  /// Per-op durations: exact count/mean/min/max, bucketed quantiles.
+  metrics::Histogram latency{1e-6};
 };
 
 class IoTracer final : public pfs::IoObserver {
@@ -46,8 +44,7 @@ class IoTracer final : public pfs::IoObserver {
     ++s.count;
     s.time += dur;
     s.bytes += bytes;
-    s.latency.add(dur);
-    s.latency_hist.add(dur);
+    s.latency.observe(dur);
     if (keep_events_) events_.push_back({kind, start, dur, bytes});
   }
 
@@ -58,7 +55,6 @@ class IoTracer final : public pfs::IoObserver {
       byKind_[k].time += other.byKind_[k].time;
       byKind_[k].bytes += other.byKind_[k].bytes;
       byKind_[k].latency.merge(other.byKind_[k].latency);
-      byKind_[k].latency_hist.merge(other.byKind_[k].latency_hist);
     }
     if (keep_events_) {
       events_.insert(events_.end(), other.events_.begin(),
@@ -83,19 +79,5 @@ class IoTracer final : public pfs::IoObserver {
       byKind_{};
   std::vector<OpRecord> events_;
 };
-
-/// Render the paper's Table 2/3 layout: one row per operation kind plus an
-/// "All I/O" footer, with % of I/O time and % of execution time columns.
-std::string format_io_summary(const IoTracer& tracer,
-                              simkit::Duration exec_time,
-                              const std::string& title);
-
-/// Same data as CSV (kind,count,time_s,bytes,pct_io,pct_exec).
-std::string io_summary_csv(const IoTracer& tracer,
-                           simkit::Duration exec_time);
-
-/// Per-operation latency quantiles (mean / approx p50 / approx p99 / max)
-/// — the distributional view Pablo's analysis tools computed.
-std::string format_latency_quantiles(const IoTracer& tracer);
 
 }  // namespace trace

@@ -8,7 +8,6 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "hw/machine.hpp"
-#include "metrics/metrics.hpp"
 #include "pfs/fs.hpp"
 #include "simkit/engine.hpp"
 
@@ -119,74 +118,6 @@ TEST(Ckpt, CheckpointingBoundsLostWorkUnderCrashes) {
   ASSERT_TRUE(b.completed);
   EXPECT_GT(b.lost_work, a.lost_work)
       << "without checkpoints every crash rolls back to step 0";
-}
-
-// run_with under a metrics registry, which only observes: the report
-// plus the alltoallv wire messages the run sent (mprt.alltoall.msgs).
-struct Metered {
-  Report rep;
-  std::uint64_t msgs = 0;
-};
-
-Metered run_metered(fault::InjectionPlan plan, Options opt) {
-  metrics::Registry reg;
-  metrics::Scope scope(reg);
-  Metered out;
-  out.rep = run_with(std::move(plan), std::move(opt));
-  out.msgs = reg.counter("mprt.alltoall.msgs").value();
-  return out;
-}
-
-TEST(Ckpt, BoundedFanInPreservesCheckpointSemantics) {
-  // Options::io_fan_in routes the checkpoint collectives over the leader
-  // topology (aggregator two-phase) — the accounting and the verified
-  // restored state must match the flat shape exactly, while the
-  // exchanges send fewer messages.
-  Options flat;
-  flat.ckpt_interval_steps = 2;
-  Options bounded = flat;
-  bounded.io_fan_in = 2;
-  const Metered a = run_metered(fault::InjectionPlan{}, flat);
-  const Metered b = run_metered(fault::InjectionPlan{}, bounded);
-  ASSERT_TRUE(b.rep.completed);
-  EXPECT_TRUE(b.rep.state_verified);
-  EXPECT_EQ(b.rep.checkpoints, a.rep.checkpoints);
-  EXPECT_EQ(b.rep.ckpt_bytes, a.rep.ckpt_bytes);
-  EXPECT_LT(b.msgs, a.msgs) << "io_fan_in must route through the leaders";
-}
-
-TEST(Ckpt, BoundedFanInSurvivesCrashRecovery) {
-  Options flat;
-  flat.ckpt_interval_steps = 2;
-  flat.retry.max_attempts = 3;
-  Options opt = flat;
-  opt.io_fan_in = 2;
-  const Metered a = run_metered(mid_run_outage(), flat);
-  const Metered b = run_metered(mid_run_outage(), opt);
-  EXPECT_TRUE(b.rep.completed);
-  EXPECT_GE(b.rep.restarts, 1);
-  EXPECT_TRUE(b.rep.state_verified)
-      << "hierarchical restore must replay the same bytes";
-  EXPECT_LT(b.msgs, a.msgs) << "io_fan_in must route through the leaders";
-}
-
-TEST(Ckpt, BoundedFanInCapsAsyncDrains) {
-  // io_fan_in = 1 serializes the background drains through the slot
-  // pool; the job must still complete with every checkpoint committed,
-  // and the drains, no longer contending with each other, finish sooner.
-  Options uncapped;
-  uncapped.ckpt_interval_steps = 2;
-  uncapped.policy.write = Policy::Write::kAsync;
-  Options opt = uncapped;
-  opt.io_fan_in = 1;
-  const Report all = run_with(fault::InjectionPlan{}, uncapped);
-  const Report rep = run_with(fault::InjectionPlan{}, opt);
-  EXPECT_TRUE(rep.completed);
-  EXPECT_TRUE(rep.state_verified);
-  EXPECT_EQ(rep.dropped_checkpoints, 0);
-  EXPECT_EQ(rep.checkpoints, 3);
-  EXPECT_LT(rep.drain_time, all.drain_time)
-      << "io_fan_in must lease the drains one at a time";
 }
 
 // state_bytes_per_rank not divisible by state_pieces: the interleaved

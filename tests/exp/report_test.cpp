@@ -1,4 +1,5 @@
-// Tests for the utilization report and table rendering.
+// Tests for the I/O summary, latency and utilization reports and table
+// rendering.
 #include "exp/report.hpp"
 
 #include <gtest/gtest.h>
@@ -6,6 +7,7 @@
 #include "exp/table.hpp"
 #include "hw/machine.hpp"
 #include "simkit/engine.hpp"
+#include "trace/tracer.hpp"
 
 namespace expt {
 namespace {
@@ -47,27 +49,44 @@ TEST(Report, RendersAllNodesPlusAggregate) {
   EXPECT_NE(rep.find("busy"), std::string::npos);
 }
 
-TEST(Report, BalancedStripingHasLowImbalance) {
-  Rig rig;
-  const pfs::FileId f = rig.fs.create("bal");
-  rig.eng.spawn([](Rig& r, pfs::FileId f) -> simkit::Task<void> {
-    co_await r.fs.pread(r.machine.compute_node(0), f, 0, 4 << 20);
-  }(rig, f));
-  rig.eng.run();
-  EXPECT_NEAR(io_imbalance(rig.fs), 1.0, 0.05);
+TEST(IoSummaryTable, ContainsRowsAndPercentages) {
+  trace::IoTracer t;
+  t.record(pfs::OpKind::kOpen, 0.0, 2.0, 0);
+  t.record(pfs::OpKind::kRead, 0.0, 60.0, 37ULL << 30);
+  t.record(pfs::OpKind::kWrite, 0.0, 3.0, 2ULL << 30);
+  const std::string s = io_summary_table(t, 130.0).str();
+  EXPECT_NE(s.find("| Open "), std::string::npos);
+  EXPECT_NE(s.find("| Read "), std::string::npos);
+  EXPECT_NE(s.find("| All I/O "), std::string::npos);
+  // Read is 60/65 of I/O time ≈ 92.31%.
+  EXPECT_NE(s.find("92.31"), std::string::npos);
+  // All I/O is 65/130 of exec = 50%.
+  EXPECT_NE(s.find("50.00"), std::string::npos);
+  // Seek never happened: no row.
+  EXPECT_EQ(s.find("Seek"), std::string::npos);
+  // Read volume in GB; Open moved no bytes, so its volume cell is blank.
+  EXPECT_NE(s.find("| 39.73 "), std::string::npos);
+  const std::string csv = io_summary_table(t, 130.0).csv();
+  EXPECT_TRUE(csv.starts_with(
+      "Oper,Oper Count,I/O Time (s),Vol (GB),% of I/O,% of exec\n"
+      "Open,1,2.00,,3.08,1.54\n"))
+      << csv;
 }
 
-TEST(Report, HotSpottedAccessHasHighImbalance) {
-  Rig rig;
-  const pfs::FileId f = rig.fs.create("hot");
-  rig.eng.spawn([](Rig& r, pfs::FileId f) -> simkit::Task<void> {
-    // Hammer the same 64 KB stripe (one node) repeatedly.
-    for (int i = 0; i < 32; ++i) {
-      co_await r.fs.pread(r.machine.compute_node(0), f, 0, 4096);
-    }
-  }(rig, f));
-  rig.eng.run();
-  EXPECT_GT(io_imbalance(rig.fs), 5.0);
+TEST(LatencyTable, ListsActiveKindsOnlyWithQuantilesWithinMax) {
+  trace::IoTracer t;
+  t.record(pfs::OpKind::kRead, 0, 5e-3, 100);
+  t.record(pfs::OpKind::kOpen, 0, 50e-3, 0);
+  const std::string s = latency_table(t).str();
+  EXPECT_NE(s.find("| Read "), std::string::npos);
+  EXPECT_NE(s.find("| Open "), std::string::npos);
+  EXPECT_EQ(s.find("Seek"), std::string::npos);
+  EXPECT_NE(s.find("p99"), std::string::npos);
+  // One sample per kind: every column is that sample, since the bucket
+  // edge is clamped into [min, max].
+  EXPECT_NE(s.find("| 50.00   | 50.00   | 50.00   | 50.00  |"),
+            std::string::npos)
+      << s;
 }
 
 TEST(Table, CsvEscapesNothingButJoins) {

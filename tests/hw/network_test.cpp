@@ -124,7 +124,7 @@ TEST(Network, BaseTransferTimeMatchesUncontendedRun) {
 }
 
 // transfer() holds its NICs in its own frame: one frame per call, local
-// or remote (awaiting Resource::use_for for each NIC would add two).
+// or remote (a sub-task per NIC hold would add two).
 TEST(Network, TransferAllocatesOneFrame) {
   using simkit::detail::FramePool;
   simkit::Engine eng;

@@ -54,26 +54,6 @@ TEST(ScenarioRegistry, AllIsSortedByName) {
 TEST(ScenarioGrid, EmptyGridIsOnePoint) {
   const std::vector<scenario::Axis> grid;
   EXPECT_EQ(scenario::grid_size(grid), 1u);
-  EXPECT_TRUE(scenario::grid_point(grid, 0).coord.empty());
-}
-
-TEST(ScenarioGrid, LastAxisFastest) {
-  // Matches the nested loops the bench binaries used to write: the
-  // OUTER loop is the first axis.
-  const std::vector<scenario::Axis> grid = {
-      {"outer", {"a", "b", "c"}},
-      {"inner", {"x", "y"}},
-  };
-  ASSERT_EQ(scenario::grid_size(grid), 6u);
-  std::vector<std::pair<std::size_t, std::size_t>> seen;
-  for (std::size_t i = 0; i < 6; ++i) {
-    const scenario::GridPoint p = scenario::grid_point(grid, i);
-    EXPECT_EQ(p.index, i);
-    seen.emplace_back(p.at(0), p.at(1));
-  }
-  const std::vector<std::pair<std::size_t, std::size_t>> want = {
-      {0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}};
-  EXPECT_EQ(seen, want);
 }
 
 TEST(ScenarioGlobalRegistry, HasAllThirtyOneScenarios) {

@@ -1,4 +1,4 @@
-// Tests for when_all / both.
+// Tests for when_all.
 #include "simkit/combinators.hpp"
 
 #include <gtest/gtest.h>
@@ -76,17 +76,6 @@ TEST(WhenAll, PropagatesFirstErrorAfterAllFinish) {
   eng.run();
   EXPECT_TRUE(caught);
   EXPECT_DOUBLE_EQ(caught_at, 4.0);  // rethrown only after all completed
-}
-
-TEST(Both, RunsPairConcurrently) {
-  Engine eng;
-  double done_at = -1.0;
-  eng.spawn([](Engine& e, double& out) -> Task<void> {
-    co_await both(e, sleeper(e, 2.0, nullptr), sleeper(e, 3.0, nullptr));
-    out = e.now();
-  }(eng, done_at));
-  eng.run();
-  EXPECT_DOUBLE_EQ(done_at, 3.0);
 }
 
 }  // namespace

@@ -93,20 +93,6 @@ TEST(Resource, LargeRequestBlocksLaterSmallOnes) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(Resource, UseForHoldsExactDuration) {
-  Engine eng;
-  Resource r(eng, 1);
-  double t1 = -1.0;
-  eng.spawn([](Engine& e, Resource& r, double& out) -> Task<void> {
-    co_await r.use_for(3.0);
-    co_await r.use_for(4.0);
-    out = e.now();
-  }(eng, r, t1));
-  eng.run();
-  EXPECT_DOUBLE_EQ(t1, 7.0);
-  EXPECT_EQ(r.available(), 1u);
-}
-
 TEST(Resource, ConservationUnderHeavyLoad) {
   Engine eng;
   Resource r(eng, 3);
@@ -124,32 +110,6 @@ TEST(Resource, ConservationUnderHeavyLoad) {
   EXPECT_LE(max_in_use, 3);
   EXPECT_EQ(r.available(), 3u);
   EXPECT_EQ(r.queue_length(), 0u);
-}
-
-TEST(ScopedLease, ReleasesOnScopeExitEvenOnException) {
-  Engine eng;
-  Resource r(eng, 1);
-  auto bad = eng.spawn([](Engine& e, Resource& r) -> Task<void> {
-    ScopedLease lease(r);
-    co_await lease.acquire();
-    co_await e.delay(1.0);
-    throw std::runtime_error("died holding lease");
-  }(eng, r), "holder");
-  bool late_acquired = false;
-  eng.spawn([](Engine& e, Resource& r, ProcHandle bad, bool& ok)
-                -> Task<void> {
-    try {
-      co_await bad.join();
-    } catch (...) {
-    }
-    co_await r.acquire();
-    ok = true;
-    r.release();
-    (void)e;
-  }(eng, r, bad, late_acquired));
-  eng.run();
-  EXPECT_TRUE(late_acquired);
-  EXPECT_EQ(r.available(), 1u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for Trigger and Latch.
+// Tests for Trigger.
 #include "simkit/trigger.hpp"
 
 #include <gtest/gtest.h>
@@ -59,42 +59,6 @@ TEST(Trigger, FireIsIdempotent) {
   }(eng, t));
   eng.run();
   EXPECT_EQ(wakes, 1);
-}
-
-TEST(Latch, FiresAfterExactCount) {
-  Engine eng;
-  Latch latch(3);
-  double done_at = -1.0;
-  eng.spawn([](Engine& e, Latch& l, double& out) -> Task<void> {
-    co_await l.wait();
-    out = e.now();
-  }(eng, latch, done_at));
-  for (int i = 1; i <= 3; ++i) {
-    eng.spawn([](Engine& e, Latch& l, int when) -> Task<void> {
-      co_await e.delay(static_cast<double>(when));
-      l.arrive(e);
-    }(eng, latch, i));
-  }
-  eng.run();
-  EXPECT_DOUBLE_EQ(done_at, 3.0);  // last arrival releases the waiter
-}
-
-TEST(Latch, ExtraArrivalsAreHarmless) {
-  Engine eng;
-  Latch latch(1);
-  int wakes = 0;
-  eng.spawn([](Engine&, Latch& l, int& n) -> Task<void> {
-    co_await l.wait();
-    ++n;
-  }(eng, latch, wakes));
-  eng.spawn([](Engine& e, Latch& l) -> Task<void> {
-    l.arrive(e);
-    l.arrive(e);
-    co_return;
-  }(eng, latch));
-  eng.run();
-  EXPECT_EQ(wakes, 1);
-  EXPECT_EQ(latch.remaining(), 0u);
 }
 
 }  // namespace

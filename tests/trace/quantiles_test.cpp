@@ -12,8 +12,8 @@ TEST(LatencyQuantiles, BucketsSeparateFastAndSlowOps) {
   for (int i = 0; i < 99; ++i) t.record(pfs::OpKind::kRead, 0, 1e-3, 0);
   t.record(pfs::OpKind::kRead, 0, 0.2, 0);
   const auto& s = t.summary(pfs::OpKind::kRead);
-  EXPECT_LT(s.latency_hist.quantile_upper_bound(0.50), 5e-3);
-  EXPECT_GT(s.latency_hist.quantile_upper_bound(0.995), 0.1);
+  EXPECT_LT(s.latency.percentile(0.50), 5e-3);
+  EXPECT_GT(s.latency.percentile(0.995), 0.1);
   EXPECT_DOUBLE_EQ(s.latency.max(), 0.2);
 }
 
@@ -23,21 +23,10 @@ TEST(LatencyQuantiles, MergePreservesDistribution) {
   for (int i = 0; i < 50; ++i) b.record(pfs::OpKind::kWrite, 0, 64e-3, 0);
   a.merge(b);
   const auto& s = a.summary(pfs::OpKind::kWrite);
-  EXPECT_EQ(s.latency_hist.stat().count(), 100u);
+  EXPECT_EQ(s.latency.count(), 100u);
   // Median sits at the boundary between the two populations.
-  EXPECT_LE(s.latency_hist.quantile_upper_bound(0.25), 4e-3);
-  EXPECT_GE(s.latency_hist.quantile_upper_bound(0.75), 32e-3);
-}
-
-TEST(LatencyQuantiles, FormatterListsActiveKindsOnly) {
-  IoTracer t;
-  t.record(pfs::OpKind::kRead, 0, 5e-3, 100);
-  t.record(pfs::OpKind::kOpen, 0, 50e-3, 0);
-  const std::string s = format_latency_quantiles(t);
-  EXPECT_NE(s.find("Read"), std::string::npos);
-  EXPECT_NE(s.find("Open"), std::string::npos);
-  EXPECT_EQ(s.find("Seek"), std::string::npos);
-  EXPECT_NE(s.find("p99"), std::string::npos);
+  EXPECT_LE(s.latency.percentile(0.25), 4e-3);
+  EXPECT_GE(s.latency.percentile(0.75), 32e-3);
 }
 
 }  // namespace

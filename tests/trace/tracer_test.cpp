@@ -1,4 +1,4 @@
-// Tests for the Pablo-style tracer and its Table 2/3 formatter.
+// Tests for the Pablo-style tracer.
 #include "trace/tracer.hpp"
 
 #include <gtest/gtest.h>
@@ -60,33 +60,6 @@ TEST(IoTracer, ClearResets) {
   t.clear();
   EXPECT_EQ(t.total_ops(), 0u);
   EXPECT_TRUE(t.events().empty());
-}
-
-TEST(FormatIoSummary, ContainsRowsAndPercentages) {
-  IoTracer t;
-  t.record(OpKind::kOpen, 0.0, 2.0, 0);
-  t.record(OpKind::kRead, 0.0, 60.0, 37ULL << 30);
-  t.record(OpKind::kWrite, 0.0, 3.0, 2ULL << 30);
-  const std::string s = format_io_summary(t, 130.0, "SCF test");
-  EXPECT_NE(s.find("Open"), std::string::npos);
-  EXPECT_NE(s.find("Read"), std::string::npos);
-  EXPECT_NE(s.find("All I/O"), std::string::npos);
-  // Read is 60/65 of I/O time ≈ 92.31%.
-  EXPECT_NE(s.find("92.31"), std::string::npos);
-  // All I/O is 65/130 of exec = 50%.
-  EXPECT_NE(s.find("50.00"), std::string::npos);
-  // Seek never happened: no row.
-  EXPECT_EQ(s.find("Seek"), std::string::npos);
-}
-
-TEST(IoSummaryCsv, MachineReadable) {
-  IoTracer t;
-  t.record(OpKind::kRead, 0.0, 1.0, 1024);
-  const std::string csv = io_summary_csv(t, 2.0);
-  EXPECT_NE(csv.find("oper,count,time_s,bytes,pct_io,pct_exec"),
-            std::string::npos);
-  EXPECT_NE(csv.find("Read,1,1.000000,1024,100.0000,50.0000"),
-            std::string::npos);
 }
 
 TEST(IoTracer, PlugsIntoFileHandle) {
