@@ -120,14 +120,14 @@ void run(scenario::Context& ctx) {
              kIoNodes, kMtbf, kOutage,
              policy_given ? (", policy=" + pol.name()).c_str() : "",
              ctx.table(table).c_str());
-  ctx.printf("Best interval: %s\n%s\n",
+  const ckpt::Report& best_rep = reps[static_cast<std::size_t>(best)];
+  ctx.printf("Best interval: %s\n%s%s\n",
              intervals[static_cast<std::size_t>(best)] == 0
                  ? "never"
                  : expt::fmt_u64(intervals[static_cast<std::size_t>(best)])
                        .c_str(),
-             expt::resilience_report(reps[static_cast<std::size_t>(best)],
-                                     nullptr)
-                 .c_str());
+             ctx.table(expt::resilience_table(best_rep)).c_str(),
+             expt::resilience_summary(best_rep, nullptr).c_str());
 
   // Young/Daly analytical optimum from measured per-checkpoint cost (the
   // interval-1 run averages it over the most checkpoints) and the

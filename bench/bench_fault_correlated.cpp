@@ -93,7 +93,7 @@ ckpt::Report run_once(const RowCfg& cfg, double scale, std::uint64_t seed,
   // scrubs both copies; give it the restarts to eventually finish.
   opt.max_restarts = 256;
   const ckpt::Report rep = ckpt::run(machine, fs, &injector, w, opt);
-  if (detail) *detail = expt::resilience_report(rep, &injector);
+  if (detail) *detail = expt::resilience_summary(rep, &injector);
   return rep;
 }
 
@@ -145,7 +145,9 @@ void run(scenario::Context& ctx) {
       "Markov disk arms\n%s\n",
       kIoNodes, kIoNodes / kFanIn, kMtbf, kOutage, 100.0 * kFraction,
       static_cast<unsigned long long>(opt.seed), ctx.table(table).c_str());
-  ctx.printf("Domain-aware + health-aware run under correlated bursts:\n%s\n",
+  ctx.printf("Domain-aware + health-aware run under correlated bursts:\n"
+             "%s%s\n",
+             ctx.table(expt::resilience_table(points.back().rep)).c_str(),
              points.back().detail.c_str());
 
   const ckpt::Report& indep = points[0].rep;

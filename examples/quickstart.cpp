@@ -11,7 +11,6 @@
 #include "hw/machine.hpp"
 #include "mprt/collectives.hpp"
 #include "mprt/comm.hpp"
-#include "pario/interface.hpp"
 #include "exp/report.hpp"
 #include "pfs/fs.hpp"
 #include "simkit/engine.hpp"
@@ -37,8 +36,8 @@ int main() {
         const std::uint64_t my_offset =
             static_cast<std::uint64_t>(c.rank()) * (4 << 20);
 
-        pario::IoInterface slow = co_await pario::IoInterface::open(
-            fs, c.node(), file, pario::InterfaceParams::fortran(), &tracer);
+        pfs::FileHandle slow = co_await fs.open(
+            c.node(), file, &tracer, pfs::InterfaceParams::fortran());
         for (int chunk = 0; chunk < 64; ++chunk) {
           co_await slow.pwrite(my_offset + chunk * (64 << 10), 64 << 10);
         }
@@ -46,8 +45,8 @@ int main() {
 
         co_await mprt::barrier(c);
 
-        pario::IoInterface fast = co_await pario::IoInterface::open(
-            fs, c.node(), file, pario::InterfaceParams::passion(), &tracer);
+        pfs::FileHandle fast = co_await fs.open(
+            c.node(), file, &tracer, pfs::InterfaceParams::passion());
         for (int chunk = 0; chunk < 64; ++chunk) {
           co_await fast.pread(my_offset + chunk * (64 << 10), 64 << 10);
         }

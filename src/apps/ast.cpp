@@ -60,8 +60,12 @@ simkit::Task<void> ast_rank(mprt::Comm& c, RankCtx& ctx) {
   auto pieces = rank_pieces(cfg, c.rank(), c.size());
   const std::uint64_t array_bytes =
       cfg.grid * cfg.grid * cfg.elem_bytes();
+  // The Chameleon path's per-chunk library cost is an interface overhead
+  // on the handle's reads and writes; the collective path never pays it.
+  pfs::InterfaceParams chameleon;
+  chameleon.call_overhead_ms = cfg.chameleon_call_ms;
   pfs::FileHandle h =
-      co_await ctx.fs->open(c.node(), ctx.file, &ctx.tracer);
+      co_await ctx.fs->open(c.node(), ctx.file, &ctx.tracer, chameleon);
 
   if (cfg.restart) {
     // Read the snapshot array of the last checkpoint back in.  The
@@ -82,12 +86,7 @@ simkit::Task<void> ast_rank(mprt::Comm& c, RankCtx& ctx) {
       if (c.rank() == 0) {
         for (int dst = 0; dst < c.size(); ++dst) {
           for (const auto& e : rank_pieces(cfg, dst, c.size())) {
-            const simkit::Time r0 = eng.now();
-            co_await eng.delay(simkit::milliseconds(cfg.chameleon_call_ms));
-            co_await ctx.fs->pread(c.node(), ctx.file,
-                                   base + e.file_offset, e.length);
-            ctx.tracer.record(pfs::OpKind::kRead, r0, eng.now() - r0,
-                              e.length);
+            co_await h.pread(base + e.file_offset, e.length);
             if (dst != 0) co_await c.send(dst, kRestartTag, e.length);
           }
         }
@@ -129,21 +128,13 @@ simkit::Task<void> ast_rank(mprt::Comm& c, RankCtx& ctx) {
             co_await c.send(0, kPieceTag, e.length);
           }
         } else {
-          auto write_piece =
-              [&](const pario::Extent& e) -> simkit::Task<void> {
-            const simkit::Time w0 = eng.now();
-            co_await eng.delay(
-                simkit::milliseconds(cfg.chameleon_call_ms));
-            co_await ctx.fs->pwrite(c.node(), ctx.file,
-                                    base + e.file_offset, e.length);
-            ctx.tracer.record(pfs::OpKind::kWrite, w0, eng.now() - w0,
-                              e.length);
-          };
-          for (const auto& e : pieces) co_await write_piece(e);
+          for (const auto& e : pieces) {
+            co_await h.pwrite(base + e.file_offset, e.length);
+          }
           for (int src = 1; src < c.size(); ++src) {
             for (const auto& e : rank_pieces(cfg, src, c.size())) {
               (void)co_await c.recv(src, kPieceTag);
-              co_await write_piece(e);
+              co_await h.pwrite(base + e.file_offset, e.length);
             }
           }
         }

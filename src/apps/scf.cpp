@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "mprt/comm.hpp"
-#include "pario/interface.hpp"
 #include "pario/prefetch.hpp"
 #include "pfs/fs.hpp"
 #include "simkit/engine.hpp"
@@ -55,15 +54,15 @@ simkit::Task<void> scf_rank(mprt::Comm& c, RankCtx& ctx) {
   const double integrals_per_chunk =
       static_cast<double>(ctx.my_integrals) / static_cast<double>(n_chunks);
 
-  const pario::InterfaceParams iface =
+  const pfs::InterfaceParams iface =
       cfg.version == ScfVersion::kOriginal
-          ? pario::InterfaceParams::fortran()
-          : pario::InterfaceParams::passion();  // kDirect returned above
+          ? pfs::InterfaceParams::fortran()
+          : pfs::InterfaceParams::passion();  // kDirect returned above
 
   // ---- iteration 1: evaluate integrals, write the private file --------
   {
-    pario::IoInterface io = co_await pario::IoInterface::open(
-        *ctx.fs, c.node(), ctx.file, iface, &ctx.tracer);
+    pfs::FileHandle io =
+        co_await ctx.fs->open(c.node(), ctx.file, &ctx.tracer, iface);
     for (std::uint64_t k = 0; k < n_chunks; ++k) {
       const simkit::Time t0 = eng.now();
       co_await machine.compute(integrals_per_chunk *
@@ -79,8 +78,8 @@ simkit::Task<void> scf_rank(mprt::Comm& c, RankCtx& ctx) {
 
   // ---- iterations 2..K: read the file in full, build Fock matrix ------
   for (int iter = 1; iter < cfg.iterations; ++iter) {
-    pario::IoInterface io = co_await pario::IoInterface::open(
-        *ctx.fs, c.node(), ctx.file, iface, &ctx.tracer);
+    pfs::FileHandle io =
+        co_await ctx.fs->open(c.node(), ctx.file, &ctx.tracer, iface);
     switch (cfg.version) {
       case ScfVersion::kOriginal: {
         // Fortran record I/O: a rewind-style seek, then sequential reads.
@@ -114,19 +113,11 @@ simkit::Task<void> scf_rank(mprt::Comm& c, RankCtx& ctx) {
       case ScfVersion::kPassionPrefetch: {
         pario::Prefetcher pf(io, 0, chunk, ctx.my_bytes);
         while (!pf.done()) {
+          (void)co_await pf.next();  // traced as wait + copy
           const simkit::Time t0 = eng.now();
-          const simkit::Duration wait0 = pf.wait_time();
-          const simkit::Duration copy0 = pf.copy_time();
-          (void)co_await pf.next();
-          // Paper methodology: prefetch read time = I/O wait + copy.
-          ctx.tracer.record(pfs::OpKind::kRead, t0,
-                            (pf.wait_time() - wait0) +
-                                (pf.copy_time() - copy0),
-                            pf.last_len());
-          const simkit::Time t1 = eng.now();
           co_await machine.compute(integrals_per_chunk *
                                    cfg.fock_flops_per_integral);
-          ctx.compute_time += eng.now() - t1;
+          ctx.compute_time += eng.now() - t0;
         }
         break;
       }

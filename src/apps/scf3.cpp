@@ -6,7 +6,6 @@
 
 #include "mprt/comm.hpp"
 #include "pario/balance.hpp"
-#include "pario/interface.hpp"
 #include "pario/prefetch.hpp"
 #include "pfs/fs.hpp"
 #include "simkit/engine.hpp"
@@ -49,9 +48,8 @@ simkit::Task<void> scf30_rank(mprt::Comm& c, RankCtx& ctx) {
 
   // ---- iteration 1: evaluate everything, write the cached fraction ----
   {
-    pario::IoInterface io = co_await pario::IoInterface::open(
-        *ctx.fs, c.node(), ctx.file, pario::InterfaceParams::passion(),
-        &ctx.tracer);
+    pfs::FileHandle io = co_await ctx.fs->open(
+        c.node(), ctx.file, &ctx.tracer, pfs::InterfaceParams::passion());
     const std::uint64_t n_chunks = cached_bytes == 0
                                        ? 0
                                        : (cached_bytes + chunk - 1) / chunk;
@@ -84,9 +82,8 @@ simkit::Task<void> scf30_rank(mprt::Comm& c, RankCtx& ctx) {
   const double fock_flops = static_cast<double>(ctx.my_integrals) *
                             cfg.fock_flops_per_integral;
   for (int iter = 1; iter < cfg.iterations; ++iter) {
-    pario::IoInterface io = co_await pario::IoInterface::open(
-        *ctx.fs, c.node(), ctx.file, pario::InterfaceParams::passion(),
-        &ctx.tracer);
+    pfs::FileHandle io = co_await ctx.fs->open(
+        c.node(), ctx.file, &ctx.tracer, pfs::InterfaceParams::passion());
     const std::uint64_t n_chunks =
         my_file_bytes == 0 ? 0 : (my_file_bytes + chunk - 1) / chunk;
     if (n_chunks == 0) {
@@ -98,14 +95,7 @@ simkit::Task<void> scf30_rank(mprt::Comm& c, RankCtx& ctx) {
       const double per_chunk =
           (recompute_flops + fock_flops) / static_cast<double>(n_chunks);
       while (!pf.done()) {
-        const simkit::Time t0 = eng.now();
-        const simkit::Duration wait0 = pf.wait_time();
-        const simkit::Duration copy0 = pf.copy_time();
-        (void)co_await pf.next();
-        ctx.tracer.record(
-            pfs::OpKind::kRead, t0,
-            (pf.wait_time() - wait0) + (pf.copy_time() - copy0),
-            pf.last_len());
+        (void)co_await pf.next();  // traced as wait + copy
         co_await timed_compute(per_chunk);
       }
     }

@@ -29,8 +29,8 @@ Table io_summary_table(const trace::IoTracer& tracer,
   for (std::size_t k = 0; k < kKinds; ++k) {
     const auto kind = static_cast<pfs::OpKind>(k);
     const trace::KindSummary& s = tracer.summary(kind);
-    if (s.count > 0) {
-      add(std::string(pfs::to_string(kind)), s.count, s.time, s.bytes);
+    if (s.count() > 0) {
+      add(std::string(pfs::to_string(kind)), s.count(), s.time(), s.bytes);
     }
   }
   add("All I/O", tracer.total_ops(), io_total, tracer.total_bytes());

@@ -1,11 +1,8 @@
 #include "exp/resilience.hpp"
 
-#include "exp/table.hpp"
-
 namespace expt {
 
-std::string resilience_report(const ckpt::Report& rep,
-                              const fault::Injector* injector) {
+Table resilience_table(const ckpt::Report& rep) {
   const double exec = rep.exec_time;
   auto pct = [exec](double part) {
     return exec > 0.0 ? fmt("%.1f", 100.0 * part / exec) : std::string("-");
@@ -22,8 +19,12 @@ std::string resilience_report(const ckpt::Report& rep,
   t.add_row({"Time to recovery", fmt_s(rep.recovery_time),
              pct(rep.recovery_time)});
   t.add_row({"Total execution", fmt_s(exec), pct(exec)});
+  return t;
+}
 
-  std::string out = t.str();
+std::string resilience_summary(const ckpt::Report& rep,
+                               const fault::Injector* injector) {
+  std::string out;
   out += "checkpoints: " + fmt_u64(rep.checkpoints) +
          " (" + fmt("%.1f", static_cast<double>(rep.ckpt_bytes) / 1e6) +
          " MB), restarts: " + fmt_u64(rep.restarts) +

@@ -8,13 +8,18 @@
 #include <string>
 
 #include "ckpt/ckpt.hpp"
+#include "exp/table.hpp"
 #include "fault/injector.hpp"
 
 namespace expt {
 
-/// One-run breakdown: where the execution time went and what the fault
-/// layer did to it.  `injector` may be null (fault-free runs).
-std::string resilience_report(const ckpt::Report& rep,
-                              const fault::Injector* injector);
+/// One-run breakdown of where the execution time went: productive work,
+/// checkpoint overhead, lost work and time to recovery, with % of exec.
+Table resilience_table(const ckpt::Report& rep);
+
+/// The lines that follow the table: what the checkpoint, retry and fault
+/// layers did during the run.  `injector` may be null (fault-free runs).
+std::string resilience_summary(const ckpt::Report& rep,
+                               const fault::Injector* injector);
 
 }  // namespace expt

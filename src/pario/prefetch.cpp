@@ -4,10 +4,10 @@
 
 namespace pario {
 
-Prefetcher::Prefetcher(IoInterface& io, std::uint64_t start,
+Prefetcher::Prefetcher(pfs::FileHandle& h, std::uint64_t start,
                        std::uint64_t chunk, std::uint64_t total_bytes,
                        bool backed)
-    : io_(io),
+    : h_(h),
       start_(start),
       chunk_(chunk),
       total_(total_bytes),
@@ -31,7 +31,7 @@ void Prefetcher::issue(std::uint64_t index) {
   assert(index == issued_);
   const std::uint64_t slot = index % 2;
   const std::uint64_t len = len_of(index);
-  inflight_[slot] = io_.iread(
+  inflight_[slot] = h_.iread(
       start_ + index * chunk_, len,
       backed_ ? std::span<std::byte>(buf_[slot]).subspan(0, len)
               : std::span<std::byte>{});
@@ -40,9 +40,12 @@ void Prefetcher::issue(std::uint64_t index) {
 
 simkit::Task<std::span<const std::byte>> Prefetcher::next() {
   if (done()) co_return std::span<const std::byte>{};
-  simkit::Engine& eng = io_.engine();
+  hw::Machine& machine = h_.fs().machine();
+  simkit::Engine& eng = machine.engine();
   const std::uint64_t slot = delivered_ % 2;
   const std::uint64_t len = len_of(delivered_);
+  const simkit::Duration wait0 = wait_;
+  const simkit::Duration copy0 = copy_;
 
   const simkit::Time t0 = eng.now();
   if (m_hits_) {
@@ -57,10 +60,17 @@ simkit::Task<std::span<const std::byte>> Prefetcher::next() {
 
   // Stage-to-user copy.
   const simkit::Time t1 = eng.now();
-  co_await io_.machine().mem_copy(len);
+  co_await machine.mem_copy(len);
   copy_ += eng.now() - t1;
   if (m_copy_s_) m_copy_s_->observe(eng.now() - t1);
 
+  // Paper methodology: a prefetched read costs the consumer its I/O wait
+  // plus the staging copy, taken as this chunk's growth of the running
+  // totals that wait_time() and copy_time() report.
+  if (pfs::IoObserver* obs = h_.observer()) {
+    obs->record(pfs::OpKind::kRead, t0, (wait_ - wait0) + (copy_ - copy0),
+                len);
+  }
   ++delivered_;
   last_len_ = len;
   co_return backed_

@@ -5,7 +5,8 @@
 // chunk k, chunk k+1 is already in flight.  Per the paper's methodology,
 // the I/O time of a prefetched read is accounted as wait time (how long
 // the consumer actually blocked) plus copy time (staging buffer to user),
-// both tracked here and reported to the tracer as the Read cost.
+// both tracked here and recorded on the handle's observer as one Read per
+// delivered chunk.  The iread itself is neither traced nor charged.
 #pragma once
 
 #include <algorithm>
@@ -13,8 +14,8 @@
 #include <span>
 #include <vector>
 
-#include "pario/interface.hpp"
-#include "pfs/types.hpp"
+#include "metrics/metrics.hpp"
+#include "pfs/fs.hpp"
 #include "simkit/engine.hpp"
 #include "simkit/task.hpp"
 
@@ -22,17 +23,17 @@ namespace pario {
 
 class Prefetcher {
  public:
-  /// Scan [start, start + total_bytes) of `io`'s file in `chunk`-byte
+  /// Scan [start, start + total_bytes) of `h`'s file in `chunk`-byte
   /// pieces (the final piece may be shorter) with one-chunk-ahead
-  /// prefetch.  `backed` allocates real staging buffers (chunk bytes x2)
-  /// and makes next() return real data.
-  Prefetcher(IoInterface& io, std::uint64_t start, std::uint64_t chunk,
+  /// prefetch.  `h` must outlive the Prefetcher.  `backed` allocates real
+  /// staging buffers (chunk bytes x2) and makes next() return real data.
+  Prefetcher(pfs::FileHandle& h, std::uint64_t start, std::uint64_t chunk,
              std::uint64_t total_bytes, bool backed = false);
 
   /// Wait for the current chunk (issuing the next one), pay the staging
-  /// copy, and return a view of the data (empty when not backed).
-  /// Returns an empty span once the scan is exhausted and `done()` is
-  /// true.
+  /// copy, record the chunk as one Read costing wait plus copy, and
+  /// return a view of the data (empty when not backed).  Returns an empty
+  /// span once the scan is exhausted and `done()` is true.
   simkit::Task<std::span<const std::byte>> next();
 
   bool done() const noexcept { return delivered_ == count_; }
@@ -53,7 +54,7 @@ class Prefetcher {
     return std::min(chunk_, total_ - index * chunk_);
   }
 
-  IoInterface& io_;
+  pfs::FileHandle& h_;
   std::uint64_t start_;
   std::uint64_t chunk_;
   std::uint64_t total_;

@@ -188,6 +188,8 @@ simkit::Task<void> hedged_read(pfs::StripedFs& fs, hw::NodeId client,
   std::rethrow_exception(st->primary_err ? st->primary_err : st->hedge_err);
 }
 
+/// The retry ladder every entry point runs: kRead and kWrite move
+/// [offset, offset + len), kFlush is the file's fsync barrier.
 simkit::Task<void> resilient_op(pfs::OpKind kind, pfs::StripedFs& fs,
                                 hw::NodeId client, pfs::FileId file,
                                 std::uint64_t offset, std::uint64_t len,
@@ -232,6 +234,10 @@ simkit::Task<void> resilient_op(pfs::OpKind kind, pfs::StripedFs& fs,
         co_await fs.pread(client, target, offset, len, out);
         feed_success(policy.health, fs, target, offset, len, eng.now(),
                      eng.now() - t0);
+      } else if (kind == pfs::OpKind::kFlush) {
+        // A barrier's latency says nothing about one request's service
+        // time, so it feeds the tracker no success.
+        co_await fs.fsync(client, target);
       } else {
         co_await fs.pwrite(client, target, offset, len, in);
         feed_success(policy.health, fs, target, offset, len, eng.now(),
@@ -286,35 +292,6 @@ simkit::Task<void> pwritev_impl(pfs::StripedFs& fs, hw::NodeId client,
     }
     co_await resilient_op(pfs::OpKind::kWrite, fs, client, file,
                           p.file_offset, p.length, {}, slice, policy, stats);
-  }
-}
-
-simkit::Task<void> fsync_impl(pfs::StripedFs& fs, hw::NodeId client,
-                              pfs::FileId file, RetryPolicy policy,
-                              RetryStats* stats) {
-  simkit::Engine& eng = fs.machine().engine();
-  double delay_ms = policy.backoff_ms;
-  RetryStats local;
-  if (!stats) stats = &local;
-  for (int attempt = 1;; ++attempt) {
-    bool backoff = false;
-    try {
-      stats->note_attempt();
-      co_await fs.fsync(client, file);
-      co_return;
-    } catch (const pfs::IoError& e) {
-      if (policy.health) policy.health->note_error(e.io_node(), eng.now());
-      if (attempt >= policy.max_attempts) {
-        stats->note_exhausted();
-        throw;
-      }
-      stats->note_retry(simkit::milliseconds(delay_ms));
-      backoff = true;
-    }
-    if (backoff) {
-      co_await eng.delay(simkit::milliseconds(delay_ms));
-      delay_ms *= policy.backoff_multiplier;
-    }
   }
 }
 
@@ -382,7 +359,10 @@ simkit::Task<void> resilient_fsync(pfs::StripedFs& fs, hw::NodeId client,
                                    pfs::FileId file, RetryPolicy policy,
                                    RetryStats* stats) {
   policy.validate();
-  return fsync_impl(fs, client, file, policy, stats);
+  // Draining the replica cannot make the primary durable: no fail-over.
+  policy.replica = pfs::kInvalidFile;
+  return resilient_op(pfs::OpKind::kFlush, fs, client, file, 0, 0, {}, {},
+                      policy, stats);
 }
 
 simkit::Task<void> repair_divergences(pfs::StripedFs& fs, hw::NodeId client,

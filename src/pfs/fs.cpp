@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
 #include <stdexcept>
 #include <string>
 
@@ -63,9 +64,13 @@ FileId StripedFs::create_placed(std::string name, bool backed,
 }
 
 simkit::Task<FileHandle> StripedFs::open(hw::NodeId client, FileId file,
-                                         IoObserver* observer) {
+                                         IoObserver* observer,
+                                         InterfaceParams iface) {
   assert(file < files_.size());
   const simkit::Time t0 = eng_.now();
+  if (iface.open_close_overhead_ms > 0.0) {
+    co_await eng_.delay(simkit::milliseconds(iface.open_close_overhead_ms));
+  }
   co_await eng_.delay(simkit::milliseconds(io_.client_syscall_ms));
   // Metadata round-trip to the file's first server.
   IoNode& meta = *nodes_[files_[file]->map.server_of(0)];
@@ -73,10 +78,8 @@ simkit::Task<FileHandle> StripedFs::open(hw::NodeId client, FileId file,
   co_await net.transfer(client, meta.node_id(), kHeaderBytes);
   co_await eng_.delay(simkit::milliseconds(io_.server_overhead_ms));
   co_await net.transfer(meta.node_id(), client, kHeaderBytes);
-  FileHandle fh(this, file, client, observer);
-  if (observer) {
-    observer->record(OpKind::kOpen, t0, eng_.now() - t0, 0);
-  }
+  FileHandle fh(this, file, client, observer, iface);
+  fh.record(OpKind::kOpen, t0, 0);
   co_return fh;
 }
 
@@ -242,52 +245,143 @@ bool StripedFs::file_lost_in(FileId file, simkit::Time t0,
 }
 
 // ---------------------------------------------------------------------------
+// InterfaceParams
+// ---------------------------------------------------------------------------
+
+InterfaceParams InterfaceParams::fortran() {
+  InterfaceParams p;
+  p.name = "fortran";
+  // Record-oriented unformatted I/O: record length bookkeeping, blank
+  // record padding, and a slow trap path — calibrated so the SCF 1.1
+  // 64 KB read path lands ~1.7-1.8x slower than PASSION (Table 2 vs 3).
+  p.call_overhead_ms = 12.0;
+  p.seek_overhead_ms = 7.5;   // Fortran repositioning re-scans records
+  p.open_close_overhead_ms = 70.0;
+  p.copy_passes = 2;          // assemble into record buffer, copy out
+  return p;
+}
+
+InterfaceParams InterfaceParams::passion() {
+  InterfaceParams p;
+  p.name = "passion";
+  p.call_overhead_ms = 0.15;
+  p.seek_overhead_ms = 0.05;
+  p.open_close_overhead_ms = 12.0;
+  p.copy_passes = 0;          // direct user-buffer I/O
+  return p;
+}
+
+// ---------------------------------------------------------------------------
 // FileHandle
 // ---------------------------------------------------------------------------
 
-simkit::Task<void> FileHandle::traced(OpKind kind, std::uint64_t bytes,
-                                      simkit::Task<void> op) {
+void FileHandle::Meters::resolve(std::string_view name) {
+  metrics::Registry* r = metrics::current();
+  if (!r) return;
+  const std::string prefix = "pario.iface." + std::string(name) + ".";
+  for (std::size_t k = 0; k < calls.size(); ++k) {
+    std::string op(to_string(static_cast<OpKind>(k)));  // "Read" -> "read"
+    op[0] = static_cast<char>(std::tolower(static_cast<unsigned char>(op[0])));
+    calls[k] = &r->counter(prefix + op + ".calls");
+    latency_s[k] = &r->histogram(prefix + op + ".latency_s");
+  }
+  // Byte distributions use a 1-byte unit (latencies keep the 1 us default).
+  read_bytes = &r->histogram(prefix + "read.bytes", /*unit=*/1.0);
+  write_bytes = &r->histogram(prefix + "write.bytes", /*unit=*/1.0);
+}
+
+void FileHandle::Meters::note(OpKind kind, simkit::Duration latency,
+                              std::uint64_t bytes) const {
+  const auto k = static_cast<std::size_t>(kind);
+  if (!calls[k]) return;
+  calls[k]->inc();
+  latency_s[k]->observe(latency);
+  if (bytes > 0) {
+    if (kind == OpKind::kRead) {
+      read_bytes->observe(static_cast<double>(bytes));
+    } else if (kind == OpKind::kWrite) {
+      write_bytes->observe(static_cast<double>(bytes));
+    }
+  }
+}
+
+FileHandle::FileHandle(StripedFs* fs, FileId file, hw::NodeId client,
+                       IoObserver* observer, InterfaceParams iface)
+    : fs_(fs),
+      file_(file),
+      client_(client),
+      observer_(observer),
+      iface_(iface) {
+  if (!iface_.name.empty()) meters_.resolve(iface_.name);
+}
+
+void FileHandle::record(OpKind kind, simkit::Time t0,
+                        std::uint64_t bytes) const {
+  const simkit::Duration dur = fs_->machine().engine().now() - t0;
+  if (observer_) observer_->record(kind, t0, dur, bytes);
+  meters_.note(kind, dur, bytes);
+}
+
+// A zero interface overhead schedules nothing (delay(0) is still an
+// event), so a bare handle keeps the raw call's exact event stream.
+
+simkit::Task<void> FileHandle::data_op(OpKind kind, std::uint64_t offset,
+                                       std::uint64_t len,
+                                       std::span<std::byte> out,
+                                       std::span<const std::byte> in) {
   simkit::Engine& eng = fs_->machine().engine();
   const simkit::Time t0 = eng.now();
-  co_await std::move(op);
-  if (observer_) observer_->record(kind, t0, eng.now() - t0, bytes);
+  if (iface_.call_overhead_ms > 0.0) {
+    co_await eng.delay(simkit::milliseconds(iface_.call_overhead_ms));
+  }
+  for (int pass = 0; pass < iface_.copy_passes; ++pass) {
+    co_await fs_->machine().mem_copy(len);
+  }
+  if (kind == OpKind::kRead) {
+    co_await fs_->pread(client_, file_, offset, len, out);
+  } else {
+    co_await fs_->pwrite(client_, file_, offset, len, in);
+  }
+  record(kind, t0, len);
 }
 
 simkit::Task<void> FileHandle::seek(std::uint64_t pos) {
   simkit::Engine& eng = fs_->machine().engine();
   const simkit::Time t0 = eng.now();
+  if (iface_.seek_overhead_ms > 0.0) {
+    co_await eng.delay(simkit::milliseconds(iface_.seek_overhead_ms));
+  }
   co_await eng.delay(
       simkit::milliseconds(fs_->params().client_syscall_ms));
   pos_ = pos;
-  if (observer_) observer_->record(OpKind::kSeek, t0, eng.now() - t0, 0);
+  record(OpKind::kSeek, t0, 0);
 }
+
+// The data calls are not coroutines: they move the cursor and hand back
+// data_op's task, so each call costs one coroutine frame.
 
 simkit::Task<void> FileHandle::read(std::uint64_t len,
                                     std::span<std::byte> out) {
   const std::uint64_t at = pos_;
   pos_ += len;
-  co_await traced(OpKind::kRead, len, fs_->pread(client_, file_, at, len,
-                                                 out));
+  return data_op(OpKind::kRead, at, len, out, {});
 }
 
 simkit::Task<void> FileHandle::write(std::uint64_t len,
                                      std::span<const std::byte> data) {
   const std::uint64_t at = pos_;
   pos_ += len;
-  co_await traced(OpKind::kWrite, len,
-                  fs_->pwrite(client_, file_, at, len, data));
+  return data_op(OpKind::kWrite, at, len, {}, data);
 }
 
 simkit::Task<void> FileHandle::pread(std::uint64_t offset, std::uint64_t len,
                                      std::span<std::byte> out) {
-  co_await traced(OpKind::kRead, len,
-                  fs_->pread(client_, file_, offset, len, out));
+  return data_op(OpKind::kRead, offset, len, out, {});
 }
 
 simkit::Task<void> FileHandle::pwrite(std::uint64_t offset, std::uint64_t len,
                                       std::span<const std::byte> data) {
-  co_await traced(OpKind::kWrite, len,
-                  fs_->pwrite(client_, file_, offset, len, data));
+  return data_op(OpKind::kWrite, offset, len, {}, data);
 }
 
 simkit::ProcHandle FileHandle::iread(std::uint64_t offset, std::uint64_t len,
@@ -297,15 +391,25 @@ simkit::ProcHandle FileHandle::iread(std::uint64_t offset, std::uint64_t len,
 }
 
 simkit::Task<void> FileHandle::flush() {
-  co_await traced(OpKind::kFlush, 0, fs_->flush(client_, file_));
+  const simkit::Time t0 = fs_->machine().engine().now();
+  co_await fs_->flush(client_, file_);
+  record(OpKind::kFlush, t0, 0);
 }
 
 simkit::Task<void> FileHandle::fsync() {
-  co_await traced(OpKind::kFlush, 0, fs_->fsync(client_, file_));
+  const simkit::Time t0 = fs_->machine().engine().now();
+  co_await fs_->fsync(client_, file_);
+  record(OpKind::kFlush, t0, 0);
 }
 
 simkit::Task<void> FileHandle::close() {
-  co_await traced(OpKind::kClose, 0, fs_->close(client_, file_));
+  simkit::Engine& eng = fs_->machine().engine();
+  const simkit::Time t0 = eng.now();
+  if (iface_.open_close_overhead_ms > 0.0) {
+    co_await eng.delay(simkit::milliseconds(iface_.open_close_overhead_ms));
+  }
+  co_await fs_->close(client_, file_);
+  record(OpKind::kClose, t0, 0);
 }
 
 }  // namespace pfs

@@ -6,15 +6,22 @@
 // per-call syscall cost, split the byte range into stripe pieces, move
 // request/data over the network, and contend at the I/O nodes.  Files can
 // be content-backed (real bytes through a SparseStore) or timing-only.
+// A FileHandle adds the per-call cost of the I/O interface it was opened
+// through (Fortran record I/O, PASSION direct calls, or none) and traces
+// each operation once.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "hw/machine.hpp"
+#include "metrics/metrics.hpp"
 #include "pfs/ionode.hpp"
 #include "pfs/layout.hpp"
 #include "pfs/store.hpp"
@@ -26,19 +33,49 @@ namespace pfs {
 
 class StripedFs;
 
-/// Per-process open file: cursor + optional tracing.  Cheap value type.
+/// Per-call software cost of the I/O interface a handle is opened
+/// through.  The paper's SCF experiments compare Fortran record I/O with
+/// the PASSION library's direct calls on the same file system: only the
+/// bookkeeping and buffer copies around each call differ, yet Table 2 vs
+/// Table 3 shows a 1.7-1.8x read-time difference.  The default (all zero,
+/// unnamed) is the bare file-system client: it schedules nothing extra.
+struct InterfaceParams {
+  /// Names the pario.iface.<name>.* instruments; an unnamed interface
+  /// records to the observer only.  Must point at static storage (a
+  /// literal): the struct stays trivially destructible, because GCC 12
+  /// destroys a defaulted class-type coroutine argument twice.
+  std::string_view name;
+  double call_overhead_ms = 0.0;  // per read/write, before the FS call
+  double seek_overhead_ms = 0.0;  // per seek
+  double open_close_overhead_ms = 0.0;
+  /// Number of extra in-memory passes over the data (record buffering in
+  /// the Fortran runtime copies through library buffers; PASSION hands
+  /// the user buffer straight to the FS).
+  int copy_passes = 0;
+
+  /// Fortran unformatted record I/O through the runtime library: heavy
+  /// per-call bookkeeping plus two buffer passes (record assembly +
+  /// copy-out).
+  static InterfaceParams fortran();
+  /// PASSION direct calls: thin veneer over the parallel file system.
+  static InterfaceParams passion();
+};
+static_assert(std::is_trivially_destructible_v<InterfaceParams>);
+
+/// Per-process open file: cursor, interface cost and tracing.  Each
+/// operation pays its interface overhead, then the file-system call, and
+/// makes exactly one record of the whole (as Pablo saw it at the
+/// application level).  Cheap value type; StripedFs::open makes them.
 class FileHandle {
  public:
   FileHandle() = default;
-  FileHandle(StripedFs* fs, FileId file, hw::NodeId client,
-             IoObserver* observer)
-      : fs_(fs), file_(file), client_(client), observer_(observer) {}
 
   bool valid() const noexcept { return fs_ != nullptr; }
+  StripedFs& fs() const noexcept { return *fs_; }
   FileId file() const noexcept { return file_; }
   hw::NodeId client() const noexcept { return client_; }
+  IoObserver* observer() const noexcept { return observer_; }
   std::uint64_t tell() const noexcept { return pos_; }
-  void set_observer(IoObserver* obs) noexcept { observer_ = obs; }
 
   /// Reposition the cursor (a traced, client-local operation).
   simkit::Task<void> seek(std::uint64_t pos);
@@ -54,9 +91,10 @@ class FileHandle {
   simkit::Task<void> pwrite(std::uint64_t offset, std::uint64_t len,
                             std::span<const std::byte> data = {});
 
-  /// Asynchronous positioned read (PFS iread): returns immediately with a
-  /// handle; join it to wait for completion.  Not traced — callers that
-  /// overlap I/O (prefetching) account wait time themselves.
+  /// Asynchronous positioned read (PFS/PASSION iread): returns immediately
+  /// with a handle; join it to wait for completion.  Neither traced nor
+  /// charged interface overhead — callers that overlap I/O (the
+  /// Prefetcher) account wait and copy time themselves.
   simkit::ProcHandle iread(std::uint64_t offset, std::uint64_t len,
                            std::span<std::byte> out = {});
 
@@ -68,13 +106,40 @@ class FileHandle {
   simkit::Task<void> close();
 
  private:
-  simkit::Task<void> traced(OpKind kind, std::uint64_t bytes,
-                            simkit::Task<void> op);
+  friend class StripedFs;
+  FileHandle(StripedFs* fs, FileId file, hw::NodeId client,
+             IoObserver* observer, InterfaceParams iface);
+
+  simkit::Task<void> data_op(OpKind kind, std::uint64_t offset,
+                             std::uint64_t len, std::span<std::byte> out,
+                             std::span<const std::byte> in);
+  /// The one record of an operation that began at `t0`: to the observer,
+  /// and to the interface's instruments when it is named.
+  void record(OpKind kind, simkit::Time t0, std::uint64_t bytes) const;
+
+  /// Per-interface instruments (pario.iface.<name>.<op>.*), resolved at
+  /// open from the installed registry; null when metrics are off or the
+  /// interface is unnamed.  These are the per-call latency/byte
+  /// distributions the paper's Tables 2-3 compare across interfaces.
+  struct Meters {
+    void resolve(std::string_view name);
+    void note(OpKind kind, simkit::Duration latency,
+              std::uint64_t bytes) const;
+    std::array<metrics::Counter*, static_cast<std::size_t>(OpKind::kCount)>
+        calls{};
+    std::array<metrics::Histogram*,
+               static_cast<std::size_t>(OpKind::kCount)>
+        latency_s{};
+    metrics::Histogram* read_bytes = nullptr;
+    metrics::Histogram* write_bytes = nullptr;
+  };
 
   StripedFs* fs_ = nullptr;
   FileId file_ = kInvalidFile;
   hw::NodeId client_ = 0;
   IoObserver* observer_ = nullptr;
+  InterfaceParams iface_;
+  Meters meters_;
   std::uint64_t pos_ = 0;
 };
 
@@ -105,11 +170,15 @@ class StripedFs {
   FileId create_placed(std::string name, bool backed,
                        std::vector<std::uint32_t> servers);
 
-  /// Open an existing file (timed metadata round-trip to its first server).
+  /// Open an existing file (timed metadata round-trip to its first server)
+  /// through interface `iface`, which pays its open overhead first.  The
+  /// handle records every operation, this open included, to `observer`.
   simkit::Task<FileHandle> open(hw::NodeId client, FileId file,
-                                IoObserver* observer = nullptr);
+                                IoObserver* observer = nullptr,
+                                InterfaceParams iface = {});
 
-  // Raw timed operations (FileHandle wraps these with cursor + tracing).
+  // Raw timed operations (FileHandle wraps these with cursor, interface
+  // cost and tracing).
   simkit::Task<void> pread(hw::NodeId client, FileId file,
                            std::uint64_t offset, std::uint64_t len,
                            std::span<std::byte> out = {});

@@ -1,35 +1,12 @@
 #include "pfs/modes.hpp"
 
 #include <cassert>
-#include <map>
-
-#include "simkit/trigger.hpp"
 
 namespace pfs {
-namespace {
-
-/// Per-turn wakeups for the strict-rank-order (kSync) mode.
-struct SyncWaiters {
-  std::map<std::uint64_t, simkit::Trigger> turns;
-};
-
-}  // namespace
-
-// The kSync turn triggers live beside the state in the rendezvous object;
-// to keep the header light they are stored in a side map keyed by state.
-// thread_local because the scenario runner executes independent
-// simulations concurrently — states never cross threads.
-namespace {
-std::map<const SharedFileState*, SyncWaiters>& sync_waiters() {
-  static thread_local std::map<const SharedFileState*, SyncWaiters> m;
-  return m;
-}
-}  // namespace
 
 simkit::Task<SharedFile> SharedFile::open(mprt::Comm& comm, StripedFs& fs,
                                           FileId file, IoMode mode,
-                                          std::uint64_t record_size,
-                                          IoObserver* observer) {
+                                          std::uint64_t record_size) {
   assert(mode != IoMode::kRecord || record_size > 0);
   // Agree on a rendezvous key (tags advance in SPMD lock-step), deposit
   // the shared state at rank 0, and synchronize twice: once so everyone
@@ -46,8 +23,8 @@ simkit::Task<SharedFile> SharedFile::open(mprt::Comm& comm, StripedFs& fs,
   if (comm.rank() == 0) board.erase(key);
 
   // Every rank performs the (timed) file-system open.
-  (void)co_await fs.open(comm.node(), file, nullptr);
-  co_return SharedFile(comm, fs, std::move(state), observer);
+  (void)co_await fs.open(comm.node(), file);
+  co_return SharedFile(comm, fs, std::move(state));
 }
 
 simkit::Task<std::uint64_t> SharedFile::log_op(hw::AccessKind kind,
@@ -80,13 +57,12 @@ simkit::Task<std::uint64_t> SharedFile::sync_op(hw::AccessKind kind,
                                                 std::span<std::byte> out,
                                                 std::span<const std::byte> in) {
   SharedFileState& st = *state_;
-  auto& waiters = sync_waiters()[&st];
   // Global turn t serves rank (t % P)'s (t / P)-th operation.
   const std::uint64_t my_turn =
       my_ops_ * static_cast<std::uint64_t>(st.nprocs_) +
       static_cast<std::uint64_t>(comm_->rank());
   if (st.sync_round_ != my_turn) {
-    co_await waiters.turns[my_turn].wait();
+    co_await st.sync_turns_[my_turn].wait();
   }
   const std::uint64_t at = st.shared_pos_;
   st.shared_pos_ += len;
@@ -97,17 +73,15 @@ simkit::Task<std::uint64_t> SharedFile::sync_op(hw::AccessKind kind,
   }
   // Advance the global turn and wake its owner, if already waiting.
   ++st.sync_round_;
-  auto it = waiters.turns.find(st.sync_round_);
-  if (it != waiters.turns.end()) it->second.fire(comm_->engine());
-  waiters.turns.erase(my_turn);
+  auto it = st.sync_turns_.find(st.sync_round_);
+  if (it != st.sync_turns_.end()) it->second.fire(comm_->engine());
+  st.sync_turns_.erase(my_turn);
   co_return at;
 }
 
 simkit::Task<std::uint64_t> SharedFile::write(std::uint64_t len,
                                               std::span<const std::byte> data) {
   SharedFileState& st = *state_;
-  simkit::Engine& eng = comm_->engine();
-  const simkit::Time t0 = eng.now();
   std::uint64_t at = 0;
   switch (st.mode_) {
     case IoMode::kUnix:
@@ -140,18 +114,12 @@ simkit::Task<std::uint64_t> SharedFile::write(std::uint64_t len,
       break;
   }
   ++my_ops_;
-  ++st.op_seq_;
-  if (observer_) {
-    observer_->record(OpKind::kWrite, t0, eng.now() - t0, len);
-  }
   co_return at;
 }
 
 simkit::Task<std::uint64_t> SharedFile::read(std::uint64_t len,
                                              std::span<std::byte> out) {
   SharedFileState& st = *state_;
-  simkit::Engine& eng = comm_->engine();
-  const simkit::Time t0 = eng.now();
   std::uint64_t at = 0;
   switch (st.mode_) {
     case IoMode::kUnix:
@@ -186,17 +154,12 @@ simkit::Task<std::uint64_t> SharedFile::read(std::uint64_t len,
     }
   }
   ++my_ops_;
-  ++st.op_seq_;
-  if (observer_) {
-    observer_->record(OpKind::kRead, t0, eng.now() - t0, len);
-  }
   co_return at;
 }
 
 simkit::Task<void> SharedFile::close() {
-  // Last rank out cleans the kSync side table.
+  // Collective close: every rank finishes its accesses before any closes.
   co_await mprt::barrier(*comm_);
-  if (comm_->rank() == 0) sync_waiters().erase(state_.get());
   co_await fs_->close(comm_->node(), state_->file_);
 }
 

@@ -23,10 +23,12 @@
 //
 // SharedFile implements these on top of StripedFs.  It is deliberately
 // separate from FileHandle: modes are a coordination layer, not a data
-// path.
+// path, so it charges no interface cost and makes no trace records (its
+// callers time whole collective accesses).
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string_view>
 
@@ -34,6 +36,7 @@
 #include "mprt/comm.hpp"
 #include "pfs/fs.hpp"
 #include "simkit/resource.hpp"
+#include "simkit/trigger.hpp"
 
 namespace pfs {
 
@@ -81,8 +84,8 @@ class SharedFileState {
   simkit::Resource token_;        // the shared-pointer token (kLog)
   std::uint64_t shared_pos_ = 0;  // kLog/kSync shared pointer
   std::uint64_t sync_round_ = 0;  // kSync: completed operations
-  int sync_turn_ = 0;             // kSync: whose turn within the round
-  std::uint64_t op_seq_ = 0;      // kRecord: diagnostics
+  /// kSync: wakeups of ranks waiting for their global turn, by turn.
+  std::map<std::uint64_t, simkit::Trigger> sync_turns_;
 };
 
 /// One rank's endpoint on a collectively opened file.
@@ -92,8 +95,7 @@ class SharedFile {
   /// arguments.  `record_size` is required for kRecord.
   static simkit::Task<SharedFile> open(mprt::Comm& comm, StripedFs& fs,
                                        FileId file, IoMode mode,
-                                       std::uint64_t record_size = 0,
-                                       IoObserver* observer = nullptr);
+                                       std::uint64_t record_size = 0);
 
   /// Mode-governed sequential write of `len` bytes (must equal the record
   /// size in kRecord mode).  Returns the file offset the data landed at.
@@ -114,9 +116,8 @@ class SharedFile {
 
  private:
   SharedFile(mprt::Comm& comm, StripedFs& fs,
-             std::shared_ptr<SharedFileState> state, IoObserver* observer)
-      : comm_(&comm), fs_(&fs), state_(std::move(state)),
-        observer_(observer) {}
+             std::shared_ptr<SharedFileState> state)
+      : comm_(&comm), fs_(&fs), state_(std::move(state)) {}
 
   simkit::Task<std::uint64_t> log_op(hw::AccessKind kind, std::uint64_t len,
                                      std::span<std::byte> out,
@@ -128,7 +129,6 @@ class SharedFile {
   mprt::Comm* comm_;
   StripedFs* fs_;
   std::shared_ptr<SharedFileState> state_;
-  IoObserver* observer_;
   std::uint64_t local_pos_ = 0;
   std::uint64_t my_ops_ = 0;
 };

@@ -9,6 +9,7 @@
 
 #include "iosrv/config.hpp"
 #include "metrics/metrics.hpp"
+#include "simkit/combinators.hpp"
 #include "simkit/engine.hpp"
 #include "simkit/resource.hpp"
 
@@ -118,23 +119,14 @@ simkit::Task<void> node_io(State& st, pfs::FileId file, hw::NodeId client,
 simkit::Task<void> fan_out(State& st, JobRt& rt, pfs::FileId file,
                            std::uint64_t base_offset, std::uint64_t per_node,
                            std::uint64_t stride, bool read) {
-  std::vector<simkit::ProcHandle> hs;
-  hs.reserve(rt.nodes.size());
+  std::vector<simkit::Task<void>> ops;
+  ops.reserve(rt.nodes.size());
   for (std::size_t i = 0; i < rt.nodes.size(); ++i) {
     const hw::NodeId client = st.machine.compute_node(rt.nodes[i]);
-    hs.push_back(st.eng.spawn(
-        node_io(st, file, client, base_offset + i * stride, per_node, read),
-        "sched.io"));
+    ops.push_back(
+        node_io(st, file, client, base_offset + i * stride, per_node, read));
   }
-  std::exception_ptr err;
-  for (simkit::ProcHandle& h : hs) {
-    try {
-      co_await h.join();
-    } catch (const pfs::IoError&) {
-      if (!err) err = std::current_exception();
-    }
-  }
-  if (err) std::rethrow_exception(err);
+  return simkit::when_all(st.eng, std::move(ops));
 }
 
 /// The step's application I/O: SCF-style jobs re-read their input slice,

@@ -4,13 +4,13 @@ namespace trace {
 
 std::uint64_t IoTracer::total_ops() const {
   std::uint64_t n = 0;
-  for (const auto& s : byKind_) n += s.count;
+  for (const auto& s : byKind_) n += s.count();
   return n;
 }
 
 simkit::Duration IoTracer::total_io_time() const {
   simkit::Duration t = 0.0;
-  for (const auto& s : byKind_) t += s.time;
+  for (const auto& s : byKind_) t += s.time();
   return t;
 }
 

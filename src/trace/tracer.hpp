@@ -25,11 +25,12 @@ struct OpRecord {
 };
 
 struct KindSummary {
-  std::uint64_t count = 0;
-  simkit::Duration time = 0.0;
   std::uint64_t bytes = 0;
-  /// Per-op durations: exact count/mean/min/max, bucketed quantiles.
+  /// Per-op durations: exact count/sum/mean/min/max, bucketed quantiles.
   metrics::Histogram latency{1e-6};
+
+  std::uint64_t count() const noexcept { return latency.count(); }
+  simkit::Duration time() const noexcept { return latency.sum(); }
 };
 
 class IoTracer final : public pfs::IoObserver {
@@ -41,8 +42,6 @@ class IoTracer final : public pfs::IoObserver {
   void record(pfs::OpKind kind, simkit::Time start, simkit::Duration dur,
               std::uint64_t bytes) override {
     auto& s = byKind_[static_cast<std::size_t>(kind)];
-    ++s.count;
-    s.time += dur;
     s.bytes += bytes;
     s.latency.observe(dur);
     if (keep_events_) events_.push_back({kind, start, dur, bytes});
@@ -51,8 +50,6 @@ class IoTracer final : public pfs::IoObserver {
   /// Merge another tracer (e.g. per-rank tracers into a job-wide one).
   void merge(const IoTracer& other) {
     for (std::size_t k = 0; k < byKind_.size(); ++k) {
-      byKind_[k].count += other.byKind_[k].count;
-      byKind_[k].time += other.byKind_[k].time;
       byKind_[k].bytes += other.byKind_[k].bytes;
       byKind_[k].latency.merge(other.byKind_[k].latency);
     }

@@ -43,7 +43,7 @@ TEST(Ast, UnoptimizedChunksPerColumn) {
   const std::uint64_t expected =
       cfg.grid * static_cast<std::uint64_t>(cfg.arrays_per_dump) *
       static_cast<std::uint64_t>(cfg.effective_dumps());
-  EXPECT_EQ(r.trace.summary(pfs::OpKind::kWrite).count, expected);
+  EXPECT_EQ(r.trace.summary(pfs::OpKind::kWrite).count(), expected);
 }
 
 TEST(Ast, VolumeConservedAcrossVersions) {

@@ -27,11 +27,11 @@ TEST(Btio, UnoptimizedIsSeekHeavy) {
   const RunResult unopt = run_btio(quick(16, false));
   const RunResult opt = run_btio(quick(16, true));
   // Paper: "the code contains a lot of seek operations".
-  EXPECT_GT(unopt.trace.summary(pfs::OpKind::kSeek).count, 1000u);
-  EXPECT_EQ(opt.trace.summary(pfs::OpKind::kSeek).count, 0u);
+  EXPECT_GT(unopt.trace.summary(pfs::OpKind::kSeek).count(), 1000u);
+  EXPECT_EQ(opt.trace.summary(pfs::OpKind::kSeek).count(), 0u);
   // One collective write op per dump per rank vs one per pencil.
-  EXPECT_GT(unopt.trace.summary(pfs::OpKind::kWrite).count,
-            20 * opt.trace.summary(pfs::OpKind::kWrite).count);
+  EXPECT_GT(unopt.trace.summary(pfs::OpKind::kWrite).count(),
+            20 * opt.trace.summary(pfs::OpKind::kWrite).count());
 }
 
 TEST(Btio, BandwidthGapMatchesFigure7Shape) {

@@ -17,8 +17,8 @@ TEST(BtioVerify, AddsAReadPass) {
   const RunResult without = run_btio(cfg);
   cfg.verify = true;
   const RunResult with = run_btio(cfg);
-  EXPECT_EQ(without.trace.summary(pfs::OpKind::kRead).count, 0u);
-  EXPECT_GT(with.trace.summary(pfs::OpKind::kRead).count, 0u);
+  EXPECT_EQ(without.trace.summary(pfs::OpKind::kRead).count(), 0u);
+  EXPECT_GT(with.trace.summary(pfs::OpKind::kRead).count(), 0u);
   EXPECT_EQ(with.trace.summary(pfs::OpKind::kRead).bytes,
             cfg.dump_bytes());  // exactly one dump read back
   EXPECT_GT(with.exec_time, without.exec_time);
@@ -33,8 +33,8 @@ TEST(BtioVerify, UnoptimizedVerifyIsSeekHeavyToo) {
   const RunResult r = run_btio(cfg);
   // One seek+read per pencil on top of the write seeks.
   const std::uint64_t pencils = 64 * 64;
-  EXPECT_EQ(r.trace.summary(pfs::OpKind::kRead).count, pencils);
-  EXPECT_EQ(r.trace.summary(pfs::OpKind::kSeek).count,
+  EXPECT_EQ(r.trace.summary(pfs::OpKind::kRead).count(), pencils);
+  EXPECT_EQ(r.trace.summary(pfs::OpKind::kSeek).count(),
             pencils * (static_cast<std::uint64_t>(cfg.effective_dumps()) +
                        1));
 }
@@ -48,7 +48,7 @@ TEST(AstRestart, MakesTheRunReadIntensiveUpFront) {
   const RunResult cold = run_ast(cfg);
   cfg.restart = true;
   const RunResult warm = run_ast(cfg);
-  EXPECT_EQ(cold.trace.summary(pfs::OpKind::kRead).count, 0u);
+  EXPECT_EQ(cold.trace.summary(pfs::OpKind::kRead).count(), 0u);
   EXPECT_GT(warm.trace.summary(pfs::OpKind::kRead).bytes, 0u);
   // The restart reads exactly one array snapshot.
   EXPECT_EQ(warm.trace.summary(pfs::OpKind::kRead).bytes,
@@ -64,7 +64,7 @@ TEST(AstRestart, ChameleonRestartFunnelsThroughNodeZero) {
   cfg.restart = true;
   const RunResult r = run_ast(cfg);
   // One read per column of the snapshot, all performed by node 0.
-  EXPECT_EQ(r.trace.summary(pfs::OpKind::kRead).count, cfg.grid);
+  EXPECT_EQ(r.trace.summary(pfs::OpKind::kRead).count(), cfg.grid);
 }
 
 TEST(AstRestart, CollectiveRestartFarFasterThanChameleon) {
@@ -79,8 +79,8 @@ TEST(AstRestart, CollectiveRestartFarFasterThanChameleon) {
   coll.collective = true;
   const RunResult a = run_ast(cham);
   const RunResult b = run_ast(coll);
-  EXPECT_GT(a.trace.summary(pfs::OpKind::kRead).time,
-            5.0 * b.trace.summary(pfs::OpKind::kRead).time);
+  EXPECT_GT(a.trace.summary(pfs::OpKind::kRead).time(),
+            5.0 * b.trace.summary(pfs::OpKind::kRead).time());
 }
 
 }  // namespace

@@ -29,8 +29,8 @@ TEST(ScfKnobs, MoreApplicationMemoryMeansFewerBiggerCalls) {
   EXPECT_EQ(rs.trace.summary(pfs::OpKind::kRead).bytes,
             rb.trace.summary(pfs::OpKind::kRead).bytes);
   const double call_ratio =
-      static_cast<double>(rs.trace.summary(pfs::OpKind::kRead).count) /
-      static_cast<double>(rb.trace.summary(pfs::OpKind::kRead).count);
+      static_cast<double>(rs.trace.summary(pfs::OpKind::kRead).count()) /
+      static_cast<double>(rb.trace.summary(pfs::OpKind::kRead).count());
   EXPECT_NEAR(call_ratio, 4.0, 0.3);
   // Fewer calls means less per-call overhead: faster.
   EXPECT_LT(rb.exec_time, rs.exec_time);

@@ -23,7 +23,7 @@ TEST(Scf11, ReadDominatedLikeTable2) {
   const auto& writes = r.trace.summary(pfs::OpKind::kWrite);
   // Table 2: reads are ~95% of I/O time and several times the write
   // volume (iterations-1 read passes over the written file).
-  EXPECT_GT(reads.time, 0.80 * r.io_time);
+  EXPECT_GT(reads.time(), 0.80 * r.io_time);
   EXPECT_EQ(reads.bytes, writes.bytes * 10);  // 1 write pass, 10 read passes
   EXPECT_GT(r.io_time, 0.0);
   EXPECT_GT(r.exec_time, 0.0);
@@ -47,7 +47,7 @@ TEST(Scf11, PassionSeeksManyButCheap) {
   const auto& pseek = pass.trace.summary(pfs::OpKind::kSeek);
   // PASSION seeks before every read (Table 3: 604k seeks vs 994) but each
   // is an order of magnitude cheaper.
-  EXPECT_GT(pseek.count, 20 * oseek.count);
+  EXPECT_GT(pseek.count(), 20 * oseek.count());
   EXPECT_GT(oseek.latency.mean() / pseek.latency.mean(), 5.0);
 }
 
@@ -77,9 +77,9 @@ TEST(Scf11, OpCountsMatchChunking) {
   // Each rank: ceil(bytes/chunk) writes, (iterations-1) x that reads.
   const auto& reads = r.trace.summary(pfs::OpKind::kRead);
   const auto& writes = r.trace.summary(pfs::OpKind::kWrite);
-  EXPECT_EQ(reads.count,
-            writes.count * static_cast<std::uint64_t>(cfg.iterations - 1));
-  EXPECT_GE(writes.count, 4u);  // at least one chunk per rank
+  EXPECT_EQ(reads.count(),
+            writes.count() * static_cast<std::uint64_t>(cfg.iterations - 1));
+  EXPECT_GE(writes.count(), 4u);  // at least one chunk per rank
 }
 
 TEST(Scf11, DirectVersionDoesNoIo) {

@@ -264,7 +264,7 @@ TEST(Integration, IfaceCountsMatchTrace) {
           std::pair{pfs::OpKind::kOpen, "open"},
           std::pair{pfs::OpKind::kClose, "close"}}) {
       EXPECT_EQ(reg.counter(prefix + op + ".calls").value(),
-                r.trace.summary(kind).count)
+                r.trace.summary(kind).count())
           << c.mode << " " << op;
     }
     EXPECT_EQ(reg.counter("apps.scf11.io_calls").value(), r.io_calls)

@@ -23,8 +23,8 @@ TEST(PrefetcherTail, LastChunkIsShort) {
   std::vector<std::uint64_t> lens;
   rig.eng.spawn([](Rig& r, pfs::FileId f,
                    std::vector<std::uint64_t>& out) -> simkit::Task<void> {
-    IoInterface io = co_await IoInterface::open(
-        r.fs, r.machine.compute_node(0), f, InterfaceParams::passion());
+    pfs::FileHandle io = co_await r.fs.open(
+        r.machine.compute_node(0), f, nullptr, pfs::InterfaceParams::passion());
     // 100 KB in 32 KB chunks: 32, 32, 32, 4.
     Prefetcher pf(io, 0, 32 * 1024, 100 * 1024);
     while (!pf.done()) {
@@ -42,8 +42,8 @@ TEST(PrefetcherTail, ExactMultipleHasNoShortChunk) {
   std::uint64_t chunks = 0, short_chunks = 0;
   rig.eng.spawn([](Rig& r, pfs::FileId f, std::uint64_t& n,
                    std::uint64_t& s) -> simkit::Task<void> {
-    IoInterface io = co_await IoInterface::open(
-        r.fs, r.machine.compute_node(0), f, InterfaceParams::passion());
+    pfs::FileHandle io = co_await r.fs.open(
+        r.machine.compute_node(0), f, nullptr, pfs::InterfaceParams::passion());
     Prefetcher pf(io, 0, 64 * 1024, 4 * 64 * 1024);
     while (!pf.done()) {
       (void)co_await pf.next();
@@ -61,8 +61,8 @@ TEST(PrefetcherTail, ZeroBytesIsImmediatelyDone) {
   const pfs::FileId f = rig.fs.create("zero");
   bool was_done = false;
   rig.eng.spawn([](Rig& r, pfs::FileId f, bool& d) -> simkit::Task<void> {
-    IoInterface io = co_await IoInterface::open(
-        r.fs, r.machine.compute_node(0), f, InterfaceParams::passion());
+    pfs::FileHandle io = co_await r.fs.open(
+        r.machine.compute_node(0), f, nullptr, pfs::InterfaceParams::passion());
     Prefetcher pf(io, 0, 64 * 1024, 0);
     d = pf.done();
     (void)co_await pf.next();  // harmless no-op
@@ -83,8 +83,8 @@ TEST(PrefetcherTail, BackedTailSpanHasTailLength) {
   bool bytes_ok = true;
   rig.eng.spawn([](Rig& r, pfs::FileId f, std::span<const std::byte> ref,
                    std::size_t& last, bool& ok) -> simkit::Task<void> {
-    IoInterface io = co_await IoInterface::open(
-        r.fs, r.machine.compute_node(0), f, InterfaceParams::passion());
+    pfs::FileHandle io = co_await r.fs.open(
+        r.machine.compute_node(0), f, nullptr, pfs::InterfaceParams::passion());
     Prefetcher pf(io, 0, 16 * 1024, ref.size(), /*backed=*/true);
     std::uint64_t pos = 0;
     while (!pf.done()) {

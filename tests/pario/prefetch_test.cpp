@@ -8,6 +8,7 @@
 #include "hw/machine.hpp"
 #include "pfs/fs.hpp"
 #include "simkit/engine.hpp"
+#include "trace/tracer.hpp"
 
 namespace pario {
 namespace {
@@ -34,8 +35,8 @@ RunResult run_prefetch(double compute_s, std::uint64_t chunks,
   RunResult res{};
   rig.eng.spawn([](Rig& r, pfs::FileId f, double compute, std::uint64_t n,
                    std::uint64_t cb, RunResult& out) -> simkit::Task<void> {
-    IoInterface io = co_await IoInterface::open(
-        r.fs, r.machine.compute_node(0), f, InterfaceParams::passion());
+    pfs::FileHandle io = co_await r.fs.open(
+        r.machine.compute_node(0), f, nullptr, pfs::InterfaceParams::passion());
     const simkit::Time t0 = r.eng.now();
     Prefetcher pf(io, 0, cb, n * cb);
     while (!pf.done()) {
@@ -65,8 +66,9 @@ TEST(Prefetcher, FasterThanSerialReads) {
   double serial_elapsed = 0.0;
   rig_serial.eng.spawn(
       [](Rig& r, pfs::FileId f, double& out) -> simkit::Task<void> {
-        IoInterface io = co_await IoInterface::open(
-            r.fs, r.machine.compute_node(0), f, InterfaceParams::passion());
+        pfs::FileHandle io =
+            co_await r.fs.open(r.machine.compute_node(0), f, nullptr,
+                               pfs::InterfaceParams::passion());
         const simkit::Time t0 = r.eng.now();
         for (std::uint64_t i = 0; i < 16; ++i) {
           co_await io.pread(i * 256 * 1024, 256 * 1024);
@@ -93,8 +95,8 @@ TEST(Prefetcher, DeliversExactChunkCount) {
   std::uint64_t delivered = 0;
   rig.eng.spawn([](Rig& r, pfs::FileId f, std::uint64_t& out)
                     -> simkit::Task<void> {
-    IoInterface io = co_await IoInterface::open(
-        r.fs, r.machine.compute_node(0), f, InterfaceParams::passion());
+    pfs::FileHandle io = co_await r.fs.open(
+        r.machine.compute_node(0), f, nullptr, pfs::InterfaceParams::passion());
     Prefetcher pf(io, 0, 64 * 1024, 5 * 64 * 1024);
     while (!pf.done()) (void)co_await pf.next();
     // Extra next() calls are harmless no-ops.
@@ -103,6 +105,36 @@ TEST(Prefetcher, DeliversExactChunkCount) {
   }(rig, f, delivered));
   rig.eng.run();
   EXPECT_EQ(delivered, 5u);
+}
+
+TEST(Prefetcher, RecordsWaitPlusCopyAsOneRead) {
+  // The paper's accounting: each delivered chunk is one Read on the
+  // handle's tracer, costed as the consumer's wait plus the staging copy.
+  Rig rig;
+  const pfs::FileId f = rig.fs.create("t");
+  trace::IoTracer tracer(/*keep_events=*/true);
+  double wait = 0.0, copy = 0.0;
+  rig.eng.spawn([](Rig& r, pfs::FileId f, trace::IoTracer& tr, double& w,
+                   double& c) -> simkit::Task<void> {
+    pfs::FileHandle io = co_await r.fs.open(
+        r.machine.compute_node(0), f, &tr, pfs::InterfaceParams::passion());
+    Prefetcher pf(io, 0, 64 * 1024, 5 * 64 * 1024 + 4096);
+    while (!pf.done()) (void)co_await pf.next();
+    w = pf.wait_time();
+    c = pf.copy_time();
+  }(rig, f, tracer, wait, copy));
+  rig.eng.run();
+  const trace::KindSummary& reads = tracer.summary(pfs::OpKind::kRead);
+  EXPECT_EQ(reads.count(), 6u);
+  EXPECT_EQ(reads.bytes, 5u * 64 * 1024 + 4096);
+  std::vector<std::uint64_t> sizes;
+  for (const trace::OpRecord& ev : tracer.events()) {
+    if (ev.kind == pfs::OpKind::kRead) sizes.push_back(ev.bytes);
+  }
+  EXPECT_EQ(sizes, (std::vector<std::uint64_t>{65536, 65536, 65536, 65536,
+                                               65536, 4096}));
+  EXPECT_GT(copy, 0.0);
+  EXPECT_NEAR(reads.time(), wait + copy, 1e-12);
 }
 
 TEST(Prefetcher, BackedModeReturnsRealBytes) {
@@ -116,8 +148,8 @@ TEST(Prefetcher, BackedModeReturnsRealBytes) {
   bool all_match = true;
   rig.eng.spawn([](Rig& r, pfs::FileId f, std::span<const std::byte> ref,
                    bool& ok) -> simkit::Task<void> {
-    IoInterface io = co_await IoInterface::open(
-        r.fs, r.machine.compute_node(0), f, InterfaceParams::passion());
+    pfs::FileHandle io = co_await r.fs.open(
+        r.machine.compute_node(0), f, nullptr, pfs::InterfaceParams::passion());
     Prefetcher pf(io, 0, 64 * 1024, 4 * 64 * 1024, /*backed=*/true);
     std::uint64_t idx = 0;
     while (!pf.done()) {

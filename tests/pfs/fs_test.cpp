@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "hw/machine.hpp"
@@ -245,6 +246,31 @@ TEST(FileHandle, AsyncIreadOverlapsWithDelay) {
   }(rig2, f2, overlap_t));
   rig2.eng.run();
   EXPECT_LT(overlap_t, serial_t - 0.2);
+}
+
+TEST(FileHandle, BareHandleAddsNoEventsToTheRawCall) {
+  // A handle opened without an interface pays nothing on top of the
+  // file-system call: no time and no event (a zero-length delay would
+  // still be one).  Both rigs open the same way, then read the same range
+  // through the handle or through StripedFs directly.
+  auto run = [](bool through_handle) {
+    Rig rig;
+    const FileId f = rig.fs.create("bare");
+    rig.eng.spawn([](Rig& r, FileId f, bool handle) -> simkit::Task<void> {
+      FileHandle h = co_await r.fs.open(r.machine.compute_node(0), f);
+      if (handle) {
+        co_await h.pread(64 << 10, 256 << 10);
+      } else {
+        co_await r.fs.pread(h.client(), h.file(), 64 << 10, 256 << 10);
+      }
+    }(rig, f, through_handle));
+    rig.eng.run();
+    return std::pair{rig.eng.now(), rig.eng.events_processed()};
+  };
+  const auto [handle_t, handle_events] = run(true);
+  const auto [raw_t, raw_events] = run(false);
+  EXPECT_EQ(handle_t, raw_t);
+  EXPECT_EQ(handle_events, raw_events);
 }
 
 TEST(StripedFs, PokePeekBypassSimulatedTime) {

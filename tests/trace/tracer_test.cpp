@@ -17,10 +17,10 @@ TEST(IoTracer, AggregatesPerKind) {
   t.record(OpKind::kRead, 0.0, 1.5, 1000);
   t.record(OpKind::kRead, 2.0, 0.5, 500);
   t.record(OpKind::kWrite, 3.0, 0.25, 200);
-  EXPECT_EQ(t.summary(OpKind::kRead).count, 2u);
-  EXPECT_DOUBLE_EQ(t.summary(OpKind::kRead).time, 2.0);
+  EXPECT_EQ(t.summary(OpKind::kRead).count(), 2u);
+  EXPECT_DOUBLE_EQ(t.summary(OpKind::kRead).time(), 2.0);
   EXPECT_EQ(t.summary(OpKind::kRead).bytes, 1500u);
-  EXPECT_EQ(t.summary(OpKind::kWrite).count, 1u);
+  EXPECT_EQ(t.summary(OpKind::kWrite).count(), 1u);
   EXPECT_EQ(t.total_ops(), 3u);
   EXPECT_DOUBLE_EQ(t.total_io_time(), 2.25);
   EXPECT_EQ(t.total_bytes(), 1700u);
@@ -49,9 +49,9 @@ TEST(IoTracer, MergeCombinesRanks) {
   b.record(OpKind::kRead, 0.0, 2.0, 200);
   b.record(OpKind::kOpen, 0.0, 0.1, 0);
   a.merge(b);
-  EXPECT_EQ(a.summary(OpKind::kRead).count, 2u);
-  EXPECT_DOUBLE_EQ(a.summary(OpKind::kRead).time, 3.0);
-  EXPECT_EQ(a.summary(OpKind::kOpen).count, 1u);
+  EXPECT_EQ(a.summary(OpKind::kRead).count(), 2u);
+  EXPECT_DOUBLE_EQ(a.summary(OpKind::kRead).time(), 3.0);
+  EXPECT_EQ(a.summary(OpKind::kOpen).count(), 1u);
 }
 
 TEST(IoTracer, ClearResets) {
@@ -78,13 +78,13 @@ TEST(IoTracer, PlugsIntoFileHandle) {
     co_await h.close();
   }(machine, fs, f, tracer));
   eng.run();
-  EXPECT_EQ(tracer.summary(OpKind::kOpen).count, 1u);
-  EXPECT_EQ(tracer.summary(OpKind::kWrite).count, 1u);
+  EXPECT_EQ(tracer.summary(OpKind::kOpen).count(), 1u);
+  EXPECT_EQ(tracer.summary(OpKind::kWrite).count(), 1u);
   EXPECT_EQ(tracer.summary(OpKind::kWrite).bytes, 128u * 1024u);
-  EXPECT_EQ(tracer.summary(OpKind::kSeek).count, 1u);
-  EXPECT_EQ(tracer.summary(OpKind::kRead).count, 1u);
-  EXPECT_EQ(tracer.summary(OpKind::kFlush).count, 1u);
-  EXPECT_EQ(tracer.summary(OpKind::kClose).count, 1u);
+  EXPECT_EQ(tracer.summary(OpKind::kSeek).count(), 1u);
+  EXPECT_EQ(tracer.summary(OpKind::kRead).count(), 1u);
+  EXPECT_EQ(tracer.summary(OpKind::kFlush).count(), 1u);
+  EXPECT_EQ(tracer.summary(OpKind::kClose).count(), 1u);
   EXPECT_GT(tracer.total_io_time(), 0.0);
   EXPECT_LE(tracer.total_io_time(), eng.now() + 1e-12);
 }
