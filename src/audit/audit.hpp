@@ -23,8 +23,10 @@
 // audited run is byte-identical to an unaudited one.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 namespace audit {
 
@@ -94,30 +96,18 @@ class Ledger {
   std::uint64_t violations() const noexcept { return totals_.violations(); }
 
  private:
-  struct Key {
-    std::uint64_t file = 0;
-    std::uint64_t block = 0;
-    std::uint32_t server = 0;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      auto mix = [](std::uint64_t z) noexcept {
-        z += 0x9E3779B97f4A7C15ULL;
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-        return z ^ (z >> 31);
-      };
-      return static_cast<std::size_t>(
-          mix(mix(mix(k.file) ^ k.block) ^ k.server));
-    }
-  };
+  /// What the ledger knows of one (file, server, block).  A check only
+  /// ever asks whether the newest acked version is durable or lost, so
+  /// flags stand in for version counters.
   struct Record {
-    std::uint64_t acked = 0;    // acked version counter
-    std::uint64_t durable = 0;  // newest version known on disk
-    std::uint64_t group = 0;    // group of the newest acked write
-    bool lost = false;          // newest acked version destroyed
+    std::uint64_t group = 0;  // group of the newest acked write
+    bool acked = false;       // some version was acked
+    bool pending = false;     // the newest acked version is not durable
+    bool lost = false;        // the newest acked version was destroyed
   };
+  /// One server's records of one file, indexed by the server-local
+  /// block number; it ends after the highest block acked.
+  using Row = std::vector<Record>;
   struct Group {
     std::uint64_t pending = 0;  // acked pieces not yet durable
     std::uint64_t durable = 0;
@@ -125,9 +115,14 @@ class Ledger {
     bool flagged = false;
   };
 
+  /// The record of a block, or nullptr past the end of its row; a hole
+  /// inside a row reads as never acked.  Never allocates.
+  Record* find(std::uint64_t file, std::size_t server, std::uint64_t block);
   void group_settle(std::uint64_t id, bool became_durable);
 
-  std::unordered_map<Key, Record, KeyHash> records_;
+  /// rows_[server][file]: FileIds, server indices and server-local
+  /// block numbers are all dense, so the rows have few holes.
+  std::vector<std::vector<Row>> rows_;
   std::unordered_map<std::uint64_t, Group> groups_;
   std::uint64_t next_group_ = 0;
   Totals totals_;

@@ -8,42 +8,39 @@ namespace iosrv {
 // ---------------------------------------------------------------- LRU --
 
 bool LruPolicy::lookup(const BlockKey& k) {
-  auto it = map_.find(k);
-  if (it == map_.end()) {
+  const Entry* e = map_.find(k);
+  if (!e) {
     count_miss();
     return false;
   }
   count_hit();
-  const Entry& e = it->second;
-  lru_.move_to_front(lru_.side(e.dirty), e.pos, e.dirty);
+  lru_.move_to_front(lru_.side(e->dirty), e->pos, e->dirty);
   return true;
 }
 
 bool LruPolicy::is_dirty(const BlockKey& k) const {
-  auto it = map_.find(k);
-  return it != map_.end() && it->second.dirty;
+  const Entry* e = map_.find(k);
+  return e && e->dirty;
 }
 
 bool LruPolicy::insert(const BlockKey& k, bool dirty) {
-  auto it = map_.find(k);
-  if (it != map_.end()) {
-    Entry& e = it->second;
-    lru_.move_to_front(lru_.side(e.dirty), e.pos, e.dirty || dirty);
-    e.dirty = e.dirty || dirty;
+  if (Entry* e = map_.find(k)) {
+    lru_.move_to_front(lru_.side(e->dirty), e->pos, e->dirty || dirty);
+    e->dirty = e->dirty || dirty;
     return true;
   }
   while (map_.size() >= capacity()) {
     if (!evict_one_clean()) return false;  // everything pinned
   }
-  map_.emplace(k, Entry{lru_.push_front(k, dirty), dirty});
+  map_.insert(k, Entry{lru_.push_front(k, dirty), dirty});
   return true;
 }
 
 void LruPolicy::mark_clean(const BlockKey& k) {
-  auto it = map_.find(k);
-  if (it == map_.end() || !it->second.dirty) return;
-  lru_.unpin(it->second.pos);
-  it->second.dirty = false;
+  Entry* e = map_.find(k);
+  if (!e || !e->dirty) return;
+  lru_.unpin(e->pos);
+  e->dirty = false;
 }
 
 void LruPolicy::invalidate_all() {
@@ -64,22 +61,22 @@ bool LruPolicy::evict_one_clean() {
 // ---------------------------------------------------------------- ARC --
 
 bool ArcPolicy::contains(const BlockKey& k) const {
-  auto it = map_.find(k);
-  return it != map_.end() && resident(it->second.list);
+  const Entry* e = map_.find(k);
+  return e && resident(e->list);
 }
 
 bool ArcPolicy::is_dirty(const BlockKey& k) const {
-  auto it = map_.find(k);
-  return it != map_.end() && it->second.dirty;
+  const Entry* e = map_.find(k);
+  return e && e->dirty;
 }
 
 bool ArcPolicy::lookup(const BlockKey& k) {
-  auto it = map_.find(k);
-  if (it == map_.end()) {
+  Entry* e = map_.find(k);
+  if (!e) {
     count_miss();
     return false;
   }
-  if (!resident(it->second.list)) {
+  if (!resident(e->list)) {
     // Ghost hit on a read: the data is gone, but the reference still
     // carries the adaptation signal — IF the ghost had read history.
     // A never-read ghost is a write whose one read-back arrived after
@@ -89,19 +86,18 @@ bool ArcPolicy::lookup(const BlockKey& k) {
     // never steer p at all.  The ghost stays put (a full-stripe insert
     // that follows still earns its T2 placement); that insert adapts
     // again, a same-direction step we accept.
-    if (it->second.referenced) adapt(it->second.list == List::kB2);
+    if (e->referenced) adapt(e->list == List::kB2);
     count_miss();
     return false;
   }
   count_hit();
-  Entry& e = it->second;
-  if (e.referenced) {
-    promote(e);
+  if (e->referenced) {
+    promote(*e);
   } else {
     // First read of a write-originated block: reading back one's own
     // write-behind data is recency, not reuse — refresh in place.
-    e.referenced = true;
-    recency(e.list).move_to_front(nodes_of(e), e.pos, e.dirty);
+    e->referenced = true;
+    recency(e->list).move_to_front(nodes_of(*e), e->pos, e->dirty);
   }
   return true;
 }
@@ -123,11 +119,11 @@ void ArcPolicy::promote(Entry& e) {
 }
 
 void ArcPolicy::mark_clean(const BlockKey& k) {
-  auto it = map_.find(k);
-  if (it == map_.end() || !it->second.dirty) return;
-  assert(resident(it->second.list));  // ghosts are never dirty
-  recency(it->second.list).unpin(it->second.pos);
-  it->second.dirty = false;
+  Entry* e = map_.find(k);
+  if (!e || !e->dirty) return;
+  assert(resident(e->list));  // ghosts are never dirty
+  recency(e->list).unpin(e->pos);
+  e->dirty = false;
 }
 
 void ArcPolicy::invalidate_all() {
@@ -151,14 +147,13 @@ bool ArcPolicy::evict_from(List from, const List* ghost) {
   if (!l.has_victim()) return false;  // every member pinned
   const RecencyList::Pos v = l.victim();
   const BlockKey victim = v->key;
-  auto m = map_.find(victim);
   if (ghost) {
     RecencyList::Nodes& g = ghosts(*ghost);
     g.splice(g.begin(), l.side(false), v);
-    m->second.list = *ghost;
+    map_.find(victim)->list = *ghost;
   } else {
     l.side(false).erase(v);
-    map_.erase(m);
+    map_.erase(victim);
   }
   count_eviction(victim);
   return true;
@@ -182,43 +177,42 @@ bool ArcPolicy::replace(bool ghost_hit_in_b2) {
 
 bool ArcPolicy::insert(const BlockKey& k, bool dirty) {
   const std::size_t c = capacity();
-  auto it = map_.find(k);
-  if (it != map_.end() && resident(it->second.list)) {
-    Entry& e = it->second;
+  Entry* e = map_.find(k);
+  if (e && resident(e->list)) {
     if (dirty) {
       // Write-aware: a write refresh (write-behind absorbing sub-block
       // pieces, or a checkpoint rewriting its region) is not a
       // frequency signal — keep the block in its current list, just
       // refresh recency there.
-      recency(e.list).move_to_front(nodes_of(e), e.pos, true);
-      e.dirty = true;
+      recency(e->list).move_to_front(nodes_of(*e), e->pos, true);
+      e->dirty = true;
     } else {
-      e.referenced = true;
-      promote(e);
+      e->referenced = true;
+      promote(*e);
     }
     return true;
   }
 
-  if (it != map_.end()) {  // ghost hit
-    if (dirty || !it->second.referenced) {
+  if (e) {  // ghost hit
+    if (dirty || !e->referenced) {
       // Write-aware: a rewrite of an evicted block earns no frequency
       // credit, and a READ of a never-read ghost is a write's one
       // read-back arriving after eviction — neither steers p nor earns
       // T2.  Forget the ghost and insert as if brand-new (landing in
       // T1 below; a clean insert starts its read history there).
-      nodes_of(it->second).erase(it->second.pos);
-      map_.erase(it);
-      it = map_.end();
+      nodes_of(*e).erase(e->pos);
+      map_.erase(k);
     } else {
       // Read re-reference of a recently evicted block: adapt p toward
-      // the list whose ghost was hit, make room, land in T2.
-      const bool in_b2 = it->second.list == List::kB2;
+      // the list whose ghost was hit, make room, land in T2.  replace()
+      // only demotes residents to ghosts and never erases from map_,
+      // so `e` still points at this key's entry afterwards.
+      const bool in_b2 = e->list == List::kB2;
       adapt(in_b2);
       if (size() >= c && !replace(in_b2)) return false;  // all pinned
-      Entry& e = it->second;
-      assert(!e.dirty);  // ghosts are never dirty
-      t2_.move_to_front(nodes_of(e), e.pos, false);
-      e.list = List::kT2;
+      assert(!e->dirty);  // ghosts are never dirty
+      t2_.move_to_front(nodes_of(*e), e->pos, false);
+      e->list = List::kT2;
       return true;
     }
   }
@@ -236,8 +230,8 @@ bool ArcPolicy::insert(const BlockKey& k, bool dirty) {
     if (map_.size() >= 2 * c) drop_ghost_lru(List::kB2);
     if (size() >= c && !replace(false)) return false;
   }
-  map_.emplace(k, Entry{t1_.push_front(k, dirty), List::kT1, dirty,
-                        /*referenced=*/!dirty});
+  map_.insert(k, Entry{t1_.push_front(k, dirty), List::kT1, dirty,
+                       /*referenced=*/!dirty});
   return true;
 }
 

@@ -26,9 +26,9 @@
 #include <list>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 
 #include "iosrv/config.hpp"
+#include "iosrv/flat_map.hpp"
 
 namespace iosrv {
 
@@ -190,7 +190,7 @@ class LruPolicy final : public CachePolicy {
   std::size_t size() const noexcept override { return map_.size(); }
   bool lookup(const BlockKey& k) override;
   bool contains(const BlockKey& k) const override {
-    return map_.count(k) != 0;
+    return map_.contains(k);
   }
   bool is_dirty(const BlockKey& k) const override;
   bool insert(const BlockKey& k, bool dirty) override;
@@ -200,13 +200,13 @@ class LruPolicy final : public CachePolicy {
  private:
   struct Entry {
     RecencyList::Pos pos;
-    bool dirty;
+    bool dirty = false;
   };
 
   bool evict_one_clean();
 
   RecencyList lru_;
-  std::unordered_map<BlockKey, Entry, BlockKeyHash> map_;
+  FlatMap<BlockKey, Entry, BlockKeyHash> map_;
 };
 
 /// ARC (adaptive replacement cache) with dirty pinning.  Residents live
@@ -255,7 +255,7 @@ class ArcPolicy final : public CachePolicy {
 
   struct Entry {
     RecencyList::Pos pos;
-    List list;
+    List list = List::kT1;
     bool dirty = false;
     /// True once the block has a demand-read reference behind it (a
     /// clean insert is one; a dirty insert is not).  Gates promotion:
@@ -296,7 +296,7 @@ class ArcPolicy final : public CachePolicy {
   /// Ghosts keep no data and are never dirty: one plain MRU-first list
   /// each, of the same node type so a demotion is a splice.
   RecencyList::Nodes b1_, b2_;
-  std::unordered_map<BlockKey, Entry, BlockKeyHash> map_;
+  FlatMap<BlockKey, Entry, BlockKeyHash> map_;
   double p_ = 0.0;
 };
 

@@ -5,8 +5,8 @@ namespace iosrv {
 RunInfo PatternTracker::note(std::uint64_t client, std::uint64_t file,
                              std::uint64_t block) {
   const StreamKey key{client, file};
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+  Stream* found = map_.find(key);
+  if (!found) {
     while (map_.size() >= max_streams_) {
       map_.erase(lru_.back());
       lru_.pop_back();
@@ -15,10 +15,11 @@ RunInfo PatternTracker::note(std::uint64_t client, std::uint64_t file,
     Stream s;
     s.last_block = block;
     s.lru_pos = lru_.begin();
-    return map_.emplace(key, s).first->second.run;
+    map_.insert(key, s);
+    return s.run;
   }
 
-  Stream& s = it->second;
+  Stream& s = *found;
   lru_.splice(lru_.begin(), lru_, s.lru_pos);
   if (block == s.last_block) return s.run;  // duplicate: no-op
 

@@ -14,7 +14,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <unordered_map>
+
+#include "iosrv/flat_map.hpp"
 
 namespace iosrv {
 
@@ -65,7 +66,7 @@ class PatternTracker {
 
   std::size_t max_streams_;
   std::list<StreamKey> lru_;  // most-recently-active first
-  std::unordered_map<StreamKey, Stream, StreamKeyHash> map_;
+  FlatMap<StreamKey, Stream, StreamKeyHash> map_;
 };
 
 }  // namespace iosrv

@@ -41,7 +41,7 @@ simkit::Task<void> WritebackPool::submit(DirtyBlock b) {
     co_return;
   }
   const std::uint64_t file = b.key.file;
-  dirty_.emplace(b.key, Extent{b.local_offset, b.length});
+  dirty_.insert(b.key, Extent{b.local_offset, b.length});
   file_dirty_[file] += 1;
   queue_.push_back(std::move(b));
   max_dirty_ = std::max(max_dirty_, dirty_.size());
@@ -85,7 +85,7 @@ simkit::Task<void> WritebackPool::drain_worker() {
 }
 
 void WritebackPool::complete(const DirtyBlock& b, std::exception_ptr err) {
-  if (dirty_.erase(b.key) == 0) {
+  if (!dirty_.erase(b.key)) {
     // The block was invalidated while this write was in flight: its
     // loss is already accounted, the file bookkeeping already reset.
     return;
@@ -171,12 +171,12 @@ simkit::Task<void> WritebackPool::drain_file(std::uint64_t file) {
 LossReport WritebackPool::invalidate_all() {
   LossReport r;
   r.lost.reserve(dirty_.size());
-  for (const auto& [k, ext] : dirty_) {
+  dirty_.for_each([&r](const BlockKey& k, const Extent& ext) {
     r.lost.push_back(DirtyBlock{k, ext.local_offset, ext.length});
     r.bytes += ext.length;
-  }
+  });
   r.blocks = r.lost.size();
-  // dirty_ iterates in hash order; sort so loss accounting and journal
+  // dirty_ iterates in slot order; sort so loss accounting and journal
   // replay are deterministic.
   std::sort(r.lost.begin(), r.lost.end(),
             [](const DirtyBlock& a, const DirtyBlock& b) {

@@ -30,11 +30,11 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "iosrv/cache_policy.hpp"
 #include "iosrv/config.hpp"
+#include "iosrv/flat_map.hpp"
 #include "simkit/engine.hpp"
 #include "simkit/trigger.hpp"
 
@@ -73,7 +73,7 @@ class WritebackPool {
   std::size_t high_watermark_blocks() const noexcept { return high_; }
   std::size_t low_watermark_blocks() const noexcept { return low_; }
 
-  bool is_dirty(const BlockKey& k) const { return dirty_.count(k) != 0; }
+  bool is_dirty(const BlockKey& k) const { return dirty_.contains(k); }
   std::size_t dirty_count() const noexcept { return dirty_.size(); }
 
   /// Buffer one block (precondition: !is_dirty(b.key) — the caller
@@ -163,7 +163,7 @@ class WritebackPool {
   };
 
   std::deque<DirtyBlock> queue_;  // buffered, not yet picked by a worker
-  std::unordered_map<BlockKey, Extent, BlockKeyHash> dirty_;
+  FlatMap<BlockKey, Extent, BlockKeyHash> dirty_;
   std::map<std::uint64_t, std::uint64_t> file_dirty_;  // file -> blocks
   std::map<std::uint64_t, std::shared_ptr<simkit::Trigger>> file_clean_;
   std::map<std::uint64_t, FileErrors> failed_;

@@ -67,10 +67,7 @@ simkit::Task<std::span<const std::byte>> Prefetcher::next() {
   // Paper methodology: a prefetched read costs the consumer its I/O wait
   // plus the staging copy, taken as this chunk's growth of the running
   // totals that wait_time() and copy_time() report.
-  if (pfs::IoObserver* obs = h_.observer()) {
-    obs->record(pfs::OpKind::kRead, t0, (wait_ - wait0) + (copy_ - copy0),
-                len);
-  }
+  h_.record(pfs::OpKind::kRead, t0, (wait_ - wait0) + (copy_ - copy0), len);
   ++delivered_;
   last_len_ = len;
   co_return backed_

@@ -5,8 +5,9 @@
 // chunk k, chunk k+1 is already in flight.  Per the paper's methodology,
 // the I/O time of a prefetched read is accounted as wait time (how long
 // the consumer actually blocked) plus copy time (staging buffer to user),
-// both tracked here and recorded on the handle's observer as one Read per
-// delivered chunk.  The iread itself is neither traced nor charged.
+// both tracked here and recorded through the handle (its observer and its
+// interface's instruments) as one Read per delivered chunk.  The iread
+// itself is neither traced nor charged.
 #pragma once
 
 #include <algorithm>

@@ -315,11 +315,15 @@ FileHandle::FileHandle(StripedFs* fs, FileId file, hw::NodeId client,
   if (!iface_.name.empty()) meters_.resolve(iface_.name);
 }
 
-void FileHandle::record(OpKind kind, simkit::Time t0,
+void FileHandle::record(OpKind kind, simkit::Time t0, simkit::Duration dur,
                         std::uint64_t bytes) const {
-  const simkit::Duration dur = fs_->machine().engine().now() - t0;
   if (observer_) observer_->record(kind, t0, dur, bytes);
   meters_.note(kind, dur, bytes);
+}
+
+void FileHandle::record(OpKind kind, simkit::Time t0,
+                        std::uint64_t bytes) const {
+  record(kind, t0, fs_->machine().engine().now() - t0, bytes);
 }
 
 // A zero interface overhead schedules nothing (delay(0) is still an

@@ -74,7 +74,6 @@ class FileHandle {
   StripedFs& fs() const noexcept { return *fs_; }
   FileId file() const noexcept { return file_; }
   hw::NodeId client() const noexcept { return client_; }
-  IoObserver* observer() const noexcept { return observer_; }
   std::uint64_t tell() const noexcept { return pos_; }
 
   /// Reposition the cursor (a traced, client-local operation).
@@ -105,6 +104,12 @@ class FileHandle {
   simkit::Task<void> fsync();
   simkit::Task<void> close();
 
+  /// The one record of an operation its caller timed itself (the
+  /// Prefetcher's wait-plus-copy reads): to the observer, and to the
+  /// interface's instruments when it is named.
+  void record(OpKind kind, simkit::Time t0, simkit::Duration dur,
+              std::uint64_t bytes) const;
+
  private:
   friend class StripedFs;
   FileHandle(StripedFs* fs, FileId file, hw::NodeId client,
@@ -113,8 +118,7 @@ class FileHandle {
   simkit::Task<void> data_op(OpKind kind, std::uint64_t offset,
                              std::uint64_t len, std::span<std::byte> out,
                              std::span<const std::byte> in);
-  /// The one record of an operation that began at `t0`: to the observer,
-  /// and to the interface's instruments when it is named.
+  /// The one record of an operation that began at `t0` and ends now.
   void record(OpKind kind, simkit::Time t0, std::uint64_t bytes) const;
 
   /// Per-interface instruments (pario.iface.<name>.<op>.*), resolved at

@@ -90,7 +90,7 @@ IoNode::IoNode(simkit::Engine& eng, hw::NodeId self, std::size_t index,
   }
   cache_->set_evict_listener([this](const iosrv::BlockKey& k) {
     if (m_cache_evictions_) m_cache_evictions_->inc();
-    if (ra_unused_.erase(k) != 0) {
+    if (ra_unused_.erase(k)) {
       ++ra_waste_;
       if (m_ra_waste_) m_ra_waste_->inc();
     }
@@ -151,6 +151,7 @@ void IoNode::check_faults() {
 }
 
 std::uint64_t IoNode::phys_of(FileId file, std::uint64_t local_offset) {
+  if (file >= segments_.size()) segments_.resize(file + 1);
   auto& segs = segments_[file];
   const std::uint64_t idx = local_offset / kSegmentBytes;
   while (segs.size() <= idx) {
@@ -195,17 +196,18 @@ simkit::Task<void> IoNode::process(hw::AccessKind kind, hw::NodeId client,
     const bool hit = cache_->lookup(key);
     if (m_cache_hits_) (hit ? m_cache_hits_ : m_cache_misses_)->inc();
     if (hit) {
-      if (ra_on && ra_unused_.erase(key) != 0) {
+      if (ra_on && ra_unused_.erase(key)) {
         ++ra_hits_;
         if (m_ra_hits_) m_ra_hits_->inc();
       }
     } else {
-      auto inflight =
-          ra_on ? ra_inflight_.find(key) : ra_inflight_.end();
-      if (ra_on && inflight != ra_inflight_.end()) {
+      const std::shared_ptr<simkit::Trigger>* inflight =
+          ra_on ? ra_inflight_.find(key) : nullptr;
+      if (inflight) {
         // The block's prefetch is already on the disk queue: join it
-        // instead of issuing a duplicate disk read.
-        auto trig = inflight->second;  // keep alive across the wait
+        // instead of issuing a duplicate disk read.  Copy the trigger:
+        // the table entry moves or goes while this request waits.
+        std::shared_ptr<simkit::Trigger> trig = *inflight;
         co_await trig->wait();
         ra_unused_.erase(key);
         ++ra_late_hits_;
@@ -284,8 +286,8 @@ void IoNode::maybe_readahead(hw::NodeId client, FileId file,
         run.stride * static_cast<std::int64_t>(i);
     if (next < 0) break;
     const iosrv::BlockKey k{file, static_cast<std::uint64_t>(next)};
-    if (cache_->contains(k) || ra_inflight_.count(k) != 0) continue;
-    ra_inflight_.emplace(k, std::make_shared<simkit::Trigger>());
+    if (cache_->contains(k) || ra_inflight_.contains(k)) continue;
+    ra_inflight_.insert(k, std::make_shared<simkit::Trigger>());
     ++ra_issued_;
     if (m_ra_issued_) m_ra_issued_->inc();
     eng_.spawn(prefetch_block(file, k), "iosrv.ra");
@@ -314,10 +316,10 @@ simkit::Task<void> IoNode::prefetch_block(FileId file, iosrv::BlockKey key) {
       if (m_ra_waste_) m_ra_waste_->inc();
     }
   }
-  auto it = ra_inflight_.find(key);
-  assert(it != ra_inflight_.end());
-  auto trig = it->second;
-  ra_inflight_.erase(it);
+  std::shared_ptr<simkit::Trigger>* inflight = ra_inflight_.find(key);
+  assert(inflight);
+  std::shared_ptr<simkit::Trigger> trig = std::move(*inflight);
+  ra_inflight_.erase(key);
   trig->fire(eng_);
 }
 

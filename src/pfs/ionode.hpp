@@ -41,14 +41,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "fault/injector.hpp"
 #include "hw/disk.hpp"
 #include "hw/machine.hpp"
 #include "iosrv/cache_policy.hpp"
+#include "iosrv/flat_map.hpp"
 #include "iosrv/pattern.hpp"
 #include "iosrv/writeback.hpp"
 #include "metrics/metrics.hpp"
@@ -195,7 +194,7 @@ class IoNode {
   std::unique_ptr<iosrv::CachePolicy> cache_;
   iosrv::PatternTracker pattern_;
   std::unique_ptr<iosrv::WritebackPool> pool_;  // null in legacy mode
-  std::map<FileId, std::vector<std::uint64_t>> segments_;
+  std::vector<std::vector<std::uint64_t>> segments_;  // by FileId
   std::uint64_t next_segment_ = 0;
 
   std::map<FileId, std::uint64_t> dirty_count_;
@@ -203,9 +202,9 @@ class IoNode {
 
   // Prefetched-but-unreferenced residents (hit/waste accounting) and
   // prefetches still on the disk queue (late-hit joining).
-  std::unordered_set<iosrv::BlockKey, iosrv::BlockKeyHash> ra_unused_;
-  std::unordered_map<iosrv::BlockKey, std::shared_ptr<simkit::Trigger>,
-                     iosrv::BlockKeyHash>
+  iosrv::FlatSet<iosrv::BlockKey, iosrv::BlockKeyHash> ra_unused_;
+  iosrv::FlatMap<iosrv::BlockKey, std::shared_ptr<simkit::Trigger>,
+                 iosrv::BlockKeyHash>
       ra_inflight_;
 
   // Crash-semantics state.  crash_epoch_ bumps at every crash edge;

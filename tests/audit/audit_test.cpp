@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+
 namespace {
 
 TEST(AuditLedger, DurableAckThenReadIsClean) {
@@ -63,15 +66,72 @@ TEST(AuditLedger, FreshWriteSupersedesLostVersion) {
   EXPECT_EQ(led.totals().stale_reads, 0u);
 }
 
+// A scrub destroys every acked block of the scrubbed server, durable or
+// buffered, in every file, counting each once; other servers' blocks
+// and never-written holes are left alone.
 TEST(AuditLedger, ScrubDestroysDurableCopies) {
   audit::Ledger led;
   led.note_write_acked(1, 0, 1, 4096, /*durable_at_ack=*/true);
   led.note_write_acked(1, 1, 2, 4096, /*durable_at_ack=*/true);
+  led.note_write_acked(2, 0, 0, 4096, /*durable_at_ack=*/true);
+  led.note_write_acked(2, 0, 0, 4096, /*durable_at_ack=*/true);  // rewrite
+  led.note_write_acked(5, 0, 3, 4096, /*durable_at_ack=*/false);
+  led.note_write_acked(5, 1, 3, 4096, /*durable_at_ack=*/false);
   led.note_scrubbed(0);
-  EXPECT_EQ(led.totals().scrub_destroyed, 1u);  // only server 0's block
+  EXPECT_EQ(led.totals().scrub_destroyed, 3u);  // server 0's three blocks
+  led.note_scrubbed(0);  // nothing acked is left on server 0 to destroy
+  EXPECT_EQ(led.totals().scrub_destroyed, 3u);
   led.note_read(1, 0, 1);
+  led.note_read(2, 0, 0);
+  led.note_read(5, 0, 3);
+  led.note_read(5, 0, 2);  // a hole in the same row
   led.note_read(1, 1, 2);
+  led.note_read(5, 1, 3);
+  EXPECT_EQ(led.totals().stale_reads, 3u);
+  // Server 1's buffered block is still pending: its own loss counts.
+  led.note_lost(5, 1, 3, 4096);
+  EXPECT_EQ(led.totals().lost_updates, 1u);
+}
+
+// Notes on a block that was never written — a hole inside a row, past a
+// row's end, or on a file or server the ledger has no row for — flag
+// nothing and leave the written block's state alone.
+TEST(AuditLedger, NotesOnUnwrittenBlocksFlagNothing) {
+  audit::Ledger led;
+  led.note_write_acked(1, 0, 4, 4096, /*durable_at_ack=*/false);
+  struct Where {
+    std::uint64_t file;
+    std::size_t server;
+    std::uint64_t block;
+  };
+  for (const Where w : {Where{1, 0, 2}, Where{1, 0, 5}, Where{1, 0, 100000},
+                        Where{1, 3, 4}, Where{2, 0, 4}, Where{1000, 0, 0}}) {
+    led.note_durable(w.file, w.server, w.block);
+    led.note_lost(w.file, w.server, w.block, 4096);
+    led.note_read(w.file, w.server, w.block);
+  }
+  EXPECT_EQ(led.violations(), 0u);
+  EXPECT_EQ(led.totals().reads_checked, 6u);
+  led.note_scrubbed(7);  // a server that never stored anything
+  EXPECT_EQ(led.totals().scrub_destroyed, 0u);
+  // The written block is still pending, so its loss is still caught.
+  led.note_lost(1, 0, 4, 4096);
+  EXPECT_EQ(led.totals().lost_updates, 1u);
+}
+
+TEST(AuditLedger, WriteFarPastARowsEnd) {
+  audit::Ledger led;
+  constexpr std::uint64_t kFar = 250000;
+  led.note_write_acked(1, 0, 0, 4096, /*durable_at_ack=*/true);
+  led.note_write_acked(1, 0, kFar, 4096, /*durable_at_ack=*/false);
+  led.note_lost(1, 0, kFar, 4096);
+  EXPECT_EQ(led.totals().lost_updates, 1u);
+  led.note_read(1, 0, kFar);
+  led.note_read(1, 0, kFar / 2);  // a hole between the two writes
+  led.note_read(1, 0, 0);
   EXPECT_EQ(led.totals().stale_reads, 1u);
+  led.note_scrubbed(0);  // only block 0 is acked and not already lost
+  EXPECT_EQ(led.totals().scrub_destroyed, 1u);
 }
 
 // One client pwrite split over two servers: one piece drains, the

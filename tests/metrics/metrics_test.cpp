@@ -242,14 +242,16 @@ TEST(Integration, MetricsDoNotPerturbSimulation) {
 
 // Acceptance criterion: per-call counts in the registry match the counts
 // the Pablo-style tracer derives for the same run, for both SCF 1.1
-// interfaces.
+// interfaces and for the prefetching version, whose Reads are recorded
+// by the Prefetcher rather than by a handle call.
 TEST(Integration, IfaceCountsMatchTrace) {
   struct Case {
     apps::ScfVersion version;
     const char* mode;
   };
   for (const Case c : {Case{apps::ScfVersion::kOriginal, "fortran"},
-                       Case{apps::ScfVersion::kPassion, "passion"}}) {
+                       Case{apps::ScfVersion::kPassion, "passion"},
+                       Case{apps::ScfVersion::kPassionPrefetch, "passion"}}) {
     Registry reg;
     apps::RunResult r;
     {
@@ -265,10 +267,10 @@ TEST(Integration, IfaceCountsMatchTrace) {
           std::pair{pfs::OpKind::kClose, "close"}}) {
       EXPECT_EQ(reg.counter(prefix + op + ".calls").value(),
                 r.trace.summary(kind).count())
-          << c.mode << " " << op;
+          << apps::to_string(c.version) << " " << op;
     }
     EXPECT_EQ(reg.counter("apps.scf11.io_calls").value(), r.io_calls)
-        << c.mode;
+        << apps::to_string(c.version);
   }
 }
 
