@@ -5,10 +5,12 @@
 // passes of the same 16 MB file (the FFT transpose's access texture).
 // Expected: write-behind absorbs the scattered writes (client time ~
 // overhead only); cache size controls how much of the re-reads hit.
+// Write-behind off is the write_through durability policy.
 #include <cstdio>
 
 #include "exp/table.hpp"
 #include "hw/machine.hpp"
+#include "iosrv/config.hpp"
 #include "pfs/fs.hpp"
 #include "scenario/scenario.hpp"
 #include "simkit/engine.hpp"
@@ -21,11 +23,13 @@ struct Result {
   std::uint64_t cache_hits;
 };
 
-Result run_one(std::uint64_t cache_bytes, bool write_behind) {
+Result run_one(std::uint64_t cache_bytes, bool buffered) {
   simkit::Engine eng;
   hw::MachineConfig cfg = hw::MachineConfig::paragon_small(4, 2);
   cfg.io.cache_bytes_per_io_node = cache_bytes;
-  cfg.io.write_behind = write_behind;
+  cfg.io.server.durability.policy =
+      buffered ? iosrv::DurabilityPolicy::kWriteBehind
+               : iosrv::DurabilityPolicy::kWriteThrough;
   hw::Machine machine(eng, cfg);
   pfs::StripedFs fs(machine);
   const pfs::FileId f = fs.create("abl");
@@ -38,7 +42,7 @@ Result run_one(std::uint64_t cache_bytes, bool write_behind) {
     for (int i = 0; i < 2048; ++i) {
       co_await fs.pwrite(n, f, static_cast<std::uint64_t>(i) * 8192, 8192);
     }
-    co_await fs.flush(n, f);
+    co_await fs.fsync(n, f);
     out.write_time = e.now() - t0;
     const simkit::Time t1 = e.now();
     for (int pass = 0; pass < 2; ++pass) {
@@ -81,7 +85,7 @@ void run(scenario::Context& ctx) {
       "re-read)\n%s\n",
       ctx.table(table).c_str());
 
-  // Write-behind defers disk work but flush() must still pay it, so the
+  // Write-behind defers disk work but fsync() must still pay it, so the
   // comparison is about overlap: buffered writes + flush should not be
   // slower than synchronous writes.
   ctx.expect(wb_write <= sync_write * 1.05,

@@ -83,7 +83,7 @@ simkit::Task<void> wl_fft(pfs::StripedFs& fs, hw::NodeId n, int iters) {
     for (std::uint64_t i = 0; i < 2048; ++i) {
       co_await fs.pwrite(n, f, i * 8192, 8192);
     }
-    co_await fs.flush(n, f);
+    co_await fs.fsync(n, f);
     co_await read_span(fs, n, f, 0, 16 * kMiB);
     co_await read_span(fs, n, f, 0, 16 * kMiB);
   }
@@ -113,7 +113,7 @@ simkit::Task<void> wl_hartree(pfs::StripedFs& fs, hw::NodeId n, int iters) {
   for (std::uint64_t off = 0; off < bytes; off += kPiece) {
     co_await fs.pwrite(n, f, off, kPiece);
   }
-  co_await fs.flush(n, f);
+  co_await fs.fsync(n, f);
 }
 
 /// Seismic: one pass over a trace file far larger than the caches.

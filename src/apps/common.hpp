@@ -1,9 +1,11 @@
-// apps/common.hpp — shared result record for application runs.
+// apps/common.hpp — shared result record and work split for application
+// runs.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "metrics/metrics.hpp"
 #include "simkit/time.hpp"
@@ -23,9 +25,6 @@ struct RunResult {
   std::uint64_t io_calls = 0;
   trace::IoTracer trace;                // merged across all processes
 
-  double io_fraction() const {
-    return exec_time > 0 ? io_time / exec_time : 0.0;
-  }
   /// Aggregate bandwidth over the job's wall I/O time (MB/s), the paper's
   /// Figure 7 metric (falls back to summed I/O time if wall unknown).
   double io_bandwidth_mb_s() const {
@@ -39,6 +38,32 @@ struct RunResult {
     io_wall = std::max(0.0, exec_time - compute_time / nprocs);
   }
 };
+
+/// How many of `total` integrals each of `nprocs` ranks evaluates (SCF
+/// 1.1 and 3.0): rank r's share is weighted by a deterministic imbalance
+/// factor in [1-imb, 1+imb], and the shares are rounded down.
+inline std::vector<std::uint64_t> split_integrals(std::uint64_t total,
+                                                  int nprocs, double imb) {
+  const auto n = static_cast<std::size_t>(nprocs);
+  std::vector<double> weights(n, 1.0);
+  double weight_sum = 0.0;
+  for (int r = 0; r < nprocs; ++r) {
+    if (nprocs > 1) {
+      // Spread ranks evenly over [-1, 1] with a fixed permutation-ish hash.
+      const double u =
+          2.0 * (static_cast<double>((r * 2654435761u) % 1000) / 999.0) -
+          1.0;
+      weights[static_cast<std::size_t>(r)] = 1.0 + imb * u;
+    }
+    weight_sum += weights[static_cast<std::size_t>(r)];
+  }
+  std::vector<std::uint64_t> shares(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    shares[r] = static_cast<std::uint64_t>(static_cast<double>(total) *
+                                           weights[r] / weight_sum);
+  }
+  return shares;
+}
 
 /// Publish a finished run's phase totals as apps.<app>.* instruments in
 /// the installed metrics registry (no-op when metrics are off).  Gauges

@@ -12,15 +12,6 @@
 namespace apps {
 namespace {
 
-/// Deterministic per-rank imbalance factor in [1-imb, 1+imb].
-double imbalance_factor(int rank, int nprocs, double imb) {
-  if (nprocs <= 1) return 1.0;
-  // Spread ranks evenly over [-1, 1] with a fixed permutation-ish hash.
-  const double u =
-      2.0 * (static_cast<double>((rank * 2654435761u) % 1000) / 999.0) - 1.0;
-  return 1.0 + imb * u;
-}
-
 struct RankCtx {
   const ScfConfig* cfg;
   pfs::StripedFs* fs;
@@ -72,7 +63,7 @@ simkit::Task<void> scf_rank(mprt::Comm& c, RankCtx& ctx) {
           std::min(chunk, ctx.my_bytes - k * chunk);
       co_await io.write(len);
     }
-    co_await io.flush();
+    co_await io.fsync();
     co_await io.close();
   }
 
@@ -138,23 +129,15 @@ RunResult run_scf11(const ScfConfig& cfg) {
   hw::Machine machine(eng, mc);
   pfs::StripedFs fs(machine);
 
-  const std::uint64_t total_integrals = cfg.total_integrals();
+  const std::vector<std::uint64_t> shares =
+      split_integrals(cfg.total_integrals(), cfg.nprocs, cfg.imbalance);
   std::vector<std::unique_ptr<RankCtx>> ctxs;
-  double weight_sum = 0.0;
-  std::vector<double> weights(static_cast<std::size_t>(cfg.nprocs));
-  for (int r = 0; r < cfg.nprocs; ++r) {
-    weights[static_cast<std::size_t>(r)] =
-        imbalance_factor(r, cfg.nprocs, cfg.imbalance);
-    weight_sum += weights[static_cast<std::size_t>(r)];
-  }
   for (int r = 0; r < cfg.nprocs; ++r) {
     auto ctx = std::make_unique<RankCtx>();
     ctx->cfg = &cfg;
     ctx->fs = &fs;
     ctx->file = fs.create("scf_integrals_" + std::to_string(r));
-    ctx->my_integrals = static_cast<std::uint64_t>(
-        static_cast<double>(total_integrals) *
-        weights[static_cast<std::size_t>(r)] / weight_sum);
+    ctx->my_integrals = shares[static_cast<std::size_t>(r)];
     ctx->my_bytes = ctx->my_integrals * cfg.bytes_per_integral;
     ctxs.push_back(std::move(ctx));
   }

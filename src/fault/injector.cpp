@@ -129,26 +129,6 @@ simkit::Time Injector::all_up_by(simkit::Time now) const noexcept {
   return t;
 }
 
-simkit::Time Injector::nodes_up_by(std::span<const std::uint32_t> nodes,
-                                   simkit::Time now) const noexcept {
-  simkit::Time t = now;
-  bool moved = true;
-  while (moved) {
-    moved = false;
-    for (const auto& c : plan_.crashes) {
-      if (!(c.crash <= t && t < c.reboot)) continue;
-      for (const std::uint32_t n : nodes) {
-        if (c.io_node == n) {
-          t = c.reboot;
-          moved = true;
-          break;
-        }
-      }
-    }
-  }
-  return t;
-}
-
 bool Injector::node_scrubbed_in(std::size_t io_node, simkit::Time t0,
                                 simkit::Time t1) const noexcept {
   for (const auto& c : plan_.crashes) {

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <span>
 #include <vector>
 
 #include "fault/plan.hpp"
@@ -86,11 +85,6 @@ class Injector {
   /// Earliest time >= now at which no crash window keeps a node down: the
   /// instant a recovery manager can expect requests to succeed again.
   simkit::Time all_up_by(simkit::Time now) const noexcept;
-
-  /// Like all_up_by, but only windows on the listed nodes block recovery —
-  /// a reader that needs one replica shouldn't wait for the other rack.
-  simkit::Time nodes_up_by(std::span<const std::uint32_t> nodes,
-                           simkit::Time now) const noexcept;
 
   /// Did a scrubbing crash hit `io_node` in (t0, t1]?  A checkpoint copy
   /// committed at t0 that stripes over this node is untrustworthy at t1 if

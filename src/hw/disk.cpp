@@ -7,7 +7,6 @@ namespace hw {
 
 DiskParams DiskParams::sp2_ssa_9gb() {
   DiskParams p;
-  p.name = "SSA-9GB";
   p.track_to_track_seek_ms = 0.8;
   p.average_seek_ms = 8.0;
   p.rpm = 7200.0;
@@ -19,7 +18,6 @@ DiskParams DiskParams::sp2_ssa_9gb() {
 
 DiskParams DiskParams::paragon_raid3() {
   DiskParams p;
-  p.name = "Paragon-RAID3";
   p.track_to_track_seek_ms = 2.0;
   p.average_seek_ms = 14.0;
   p.rpm = 4500.0;
@@ -65,17 +63,8 @@ simkit::Duration DiskModel::access(std::uint64_t offset, std::uint64_t nbytes,
     t += rotation;
   }
   sync_gap_ = false;
-  double rate = p_.transfer_mb_per_s * 1e6;
-  if (p_.zoned_speedup > 1.0) {
-    // Outer zone (offset 0) runs at zoned_speedup x the inner-zone rate;
-    // the datasheet "sustained" rate is the zone average.
-    const double frac = std::min(
-        1.0, static_cast<double>(offset) /
-                 static_cast<double>(p_.capacity_bytes));
-    const double avg = (1.0 + p_.zoned_speedup) / 2.0;
-    rate *= (p_.zoned_speedup - frac * (p_.zoned_speedup - 1.0)) / avg;
-  }
-  const simkit::Duration transfer = static_cast<double>(nbytes) / rate;
+  const simkit::Duration transfer =
+      static_cast<double>(nbytes) / (p_.transfer_mb_per_s * 1e6);
   t += transfer;
   // Writes settle marginally slower than reads on these drives (write
   // verify / head settle); 5% is within the envelope of 1990s datasheets.

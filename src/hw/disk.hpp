@@ -14,24 +14,18 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "simkit/time.hpp"
 
 namespace hw {
 
 struct DiskParams {
-  std::string name;
   double track_to_track_seek_ms = 1.5;  // minimum (adjacent-track) seek
   double average_seek_ms = 10.0;        // manufacturer average (1/3 stroke)
   double rpm = 5400.0;                  // spindle speed
   double transfer_mb_per_s = 5.0;       // sustained media rate
   double controller_overhead_ms = 0.5;  // fixed per-request cost
   std::uint64_t capacity_bytes = 2ULL << 30;
-  /// Zoned bit recording: outer tracks (low offsets) transfer up to
-  /// `zoned_speedup` times faster than inner ones, interpolated linearly.
-  /// 1.0 (default) disables zoning.
-  double zoned_speedup = 1.0;
 
   /// 9 GB SSA drive as attached to the SP-2's PIOFS I/O nodes (4 each).
   static DiskParams sp2_ssa_9gb();
@@ -53,7 +47,7 @@ struct AccessBreakdown {
 
 class DiskModel {
  public:
-  explicit DiskModel(DiskParams params) : p_(std::move(params)) {}
+  explicit DiskModel(const DiskParams& params) : p_(params) {}
 
   const DiskParams& params() const noexcept { return p_; }
 
@@ -79,12 +73,10 @@ class DiskModel {
   void note_sync_commit() noexcept { sync_gap_ = true; }
 
   std::uint64_t head_position() const noexcept { return head_; }
-  void park() noexcept { head_ = 0; }
 
   /// Fault-injection hook: every access is stretched by this factor while
   /// a degradation episode is armed (1.0 = healthy, the default; a very
   /// large value models a stuck arm).  Set by fault::Injector's clock.
-  double service_scale() const noexcept { return service_scale_; }
   void set_service_scale(double s) noexcept { service_scale_ = s; }
 
   /// Time for one full platter revolution.

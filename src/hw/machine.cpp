@@ -39,10 +39,11 @@ void MachineConfig::validate() const {
     throw ConfigError("MachineConfig '" + name +
                       "': io_nodes_per_switch exceeds io_nodes");
   }
-  if (io.server.durability.crash_semantics && io.write_behind &&
+  if (io.server.durability.crash_semantics &&
+      io.server.durability.policy != iosrv::DurabilityPolicy::kWriteThrough &&
       io.server.writeback.mode != iosrv::WritebackMode::kPool) {
     throw ConfigError("MachineConfig '" + name +
-                      "': crash_semantics with write_behind needs "
+                      "': crash_semantics with buffered writes needs "
                       "writeback.mode = pool");
   }
 }
@@ -69,7 +70,8 @@ MachineConfig MachineConfig::paragon_small(std::size_t compute_nodes,
   m.io.client_syscall_ms = 0.5;
   // I/O nodes carried 16 MB, mostly consumed by OSF/1 and the daemons.
   m.io.cache_bytes_per_io_node = 2ULL << 20;
-  m.io.write_behind = true;  // Paragon was observed faster on writes
+  // Paragon was observed faster on writes: the default write_behind
+  // policy acks from the I/O-node cache.
   return m;
 }
 
@@ -100,7 +102,8 @@ MachineConfig MachineConfig::sp2(std::size_t compute_nodes) {
   m.io.server_overhead_ms = 0.7;
   m.io.client_syscall_ms = 0.3;
   m.io.cache_bytes_per_io_node = 16ULL << 20;
-  m.io.write_behind = false;  // SP-2 was observed faster on reads
+  // SP-2 was observed faster on reads: every write waits for its disk.
+  m.io.server.durability.policy = iosrv::DurabilityPolicy::kWriteThrough;
   return m;
 }
 
@@ -141,7 +144,6 @@ MachineConfig MachineConfig::paragon_xl(std::size_t compute_nodes,
   m.io.server_overhead_ms = 0.2;
   m.io.client_syscall_ms = 0.05;
   m.io.cache_bytes_per_io_node = 64ULL << 20;
-  m.io.write_behind = true;
   return m;
 }
 

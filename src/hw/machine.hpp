@@ -40,12 +40,13 @@ struct IoSubsysParams {
   double server_overhead_ms = 0.8;   // per request at the I/O node daemon
   double client_syscall_ms = 0.35;   // per call trap/marshal on the client
   std::uint64_t cache_bytes_per_io_node = 4ULL << 20;
-  bool write_behind = true;          // buffered writes flushed by a daemon
   /// SCAN (elevator) disk scheduling at the I/O nodes instead of FIFO.
   bool scan_scheduling = false;
   /// Active I/O server knobs (cache replacement policy, pattern-driven
-  /// read-ahead, pooled write-behind).  The defaults reproduce the
-  /// legacy passive server byte for byte; see iosrv/config.hpp.
+  /// read-ahead, pooled write-behind, and the durability policy that
+  /// decides what a write ack promises).  The defaults reproduce the
+  /// legacy passive write-behind server byte for byte; see
+  /// iosrv/config.hpp.
   iosrv::Config server;
 };
 
@@ -74,8 +75,9 @@ struct MachineConfig {
 
   /// Reject impossible shapes with a ConfigError naming the bad field:
   /// zero compute nodes, zero I/O nodes, a switch fan-in larger than
-  /// the I/O partition, or server crash semantics with write-behind on
-  /// the legacy flusher (only the pool models what a crash destroys).
+  /// the I/O partition, or server crash semantics on the legacy flusher
+  /// under any policy but write_through (only the pool models what a
+  /// crash destroys).
   /// Called by the Machine constructor, so every simulation fails fast
   /// instead of asserting downstream.
   void validate() const;

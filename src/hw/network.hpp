@@ -101,14 +101,6 @@ class Network {
 
   simkit::Resource& nic(NodeId n) { return *nics_.at(n); }
 
-  /// Pure (uncontended) one-way latency+serialization estimate.
-  simkit::Duration base_transfer_time(NodeId src, NodeId dst,
-                                      std::uint64_t bytes) const {
-    return simkit::microseconds(p_.sw_overhead_us) +
-           propagation(src, dst) +
-           2.0 * serialization(bytes);
-  }
-
   /// Timed transfer of `bytes` from `src` to `dst` with NIC contention.
   /// Local transfers pay only the software overhead and one memcpy-rate
   /// serialization.

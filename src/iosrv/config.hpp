@@ -4,7 +4,8 @@
 // scheduling decisions instead of serving a passive FIFO of requests.
 // This header is the knob surface: which block-replacement policy the
 // per-node cache runs, whether the server detects access patterns and
-// reads ahead, and whether write-behind uses the legacy
+// reads ahead, what a write ack promises (the durability policy, the
+// one knob for it), and whether buffered writes use the legacy
 // one-slot-one-flusher model or a bounded dirty pool with watermark
 // draining.  The defaults reproduce the pre-iosrv IoNode byte for byte
 // (LRU, no read-ahead, legacy write-behind) — CI pins that identity.
@@ -47,15 +48,12 @@ enum class WritebackMode : std::uint8_t {
   kPool,
 };
 
-constexpr std::string_view to_string(WritebackMode m) {
-  return m == WritebackMode::kLegacy ? "legacy" : "pool";
-}
-
 /// What a client-visible write ack promises about durability, and what
 /// a node crash therefore costs.  `kWriteBehind` is the historical
 /// model: the ack means "buffered", and every acked-but-unflushed block
 /// on a crashed server is a lost update.  The other three close that
-/// window at increasing up-front cost.
+/// window at increasing up-front cost.  The machine presets pick one:
+/// Paragon buffers (write_behind), SP-2 writes through.
 enum class DurabilityPolicy : std::uint8_t {
   /// Ack on buffer; a crash loses the dirty pool (the default).
   kWriteBehind,
@@ -90,8 +88,8 @@ struct DurabilityConfig {
   /// rejects requests but leaves cache and pool contents intact, as it
   /// always has.  When true, a crash invalidates the cache, discards
   /// the writeback pool (acked-but-unflushed blocks become lost
-  /// updates), and cancels in-flight drains and read-ahead.  With
-  /// write-behind on, it requires WritebackMode::kPool
+  /// updates), and cancels in-flight drains and read-ahead.  Under every
+  /// policy but write_through it requires WritebackMode::kPool
   /// (hw::MachineConfig::validate rejects the legacy flusher).
   bool crash_semantics = false;
 };

@@ -109,34 +109,6 @@ std::string to_json(const Registry& reg) {
   return out;
 }
 
-std::string to_csv(const Registry& reg) {
-  std::string out = "kind,name,field,value\n";
-  for (const auto& [name, c] : reg.counters()) {
-    out += "counter," + name + ",value," + num(c.value()) + "\n";
-  }
-  for (const auto& [name, g] : reg.gauges()) {
-    out += "gauge," + name + ",last," + num(g.last()) + "\n";
-    out += "gauge," + name + ",min," + num(g.min()) + "\n";
-    out += "gauge," + name + ",max," + num(g.max()) + "\n";
-  }
-  for (const auto& [name, h] : reg.histograms()) {
-    out += "histogram," + name + ",count," + num(h.count()) + "\n";
-    out += "histogram," + name + ",sum," + num(h.sum()) + "\n";
-    out += "histogram," + name + ",min," + num(h.min()) + "\n";
-    out += "histogram," + name + ",max," + num(h.max()) + "\n";
-    out += "histogram," + name + ",mean," + num(h.mean()) + "\n";
-    out += "histogram," + name + ",p50," + num(h.percentile(0.50)) + "\n";
-    out += "histogram," + name + ",p95," + num(h.percentile(0.95)) + "\n";
-    out += "histogram," + name + ",p99," + num(h.percentile(0.99)) + "\n";
-  }
-  for (const auto& [name, ts] : reg.timeseries_map()) {
-    out += "timeseries," + name + ",interval," + num(ts.interval()) + "\n";
-    out += "timeseries," + name + ",points," +
-           num(static_cast<std::uint64_t>(ts.samples().size())) + "\n";
-  }
-  return out;
-}
-
 bool write_json_file(const Registry& reg, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;

@@ -1,8 +1,7 @@
-// metrics/export.hpp — schema-stable JSON and CSV renderings of a
-// Registry.
+// metrics/export.hpp — schema-stable JSON rendering of a Registry.
 //
-// Both formats iterate the registry's name-sorted maps and format numbers
-// with fixed printf conversions, so two runs that produce the same metric
+// It iterates the registry's name-sorted maps and formats numbers with
+// fixed printf conversions, so two runs that produce the same metric
 // values emit byte-identical files — the determinism tests rely on it.
 #pragma once
 
@@ -20,11 +19,6 @@ inline constexpr const char* kJsonSchema = "iosim.metrics.v1";
 /// unit/count/sum/min/max/mean/p50/p95/p99, timeseries entries carry the
 /// interval and the [t, value] sample pairs.
 std::string to_json(const Registry& reg);
-
-/// Long-format CSV: `kind,name,field,value` with one row per scalar.
-/// Timeseries export their interval and point count (full samples live in
-/// the JSON form).
-std::string to_csv(const Registry& reg);
 
 /// Write to_json(reg) to `path`.  Returns false on I/O failure.
 bool write_json_file(const Registry& reg, const std::string& path);

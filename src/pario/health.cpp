@@ -11,18 +11,29 @@ namespace pario {
 
 namespace {
 constexpr simkit::Time kNever = -1e300;
+/// EWMA weight of the newest latency sample.
+constexpr double kLatencyAlpha = 0.25;
+/// An error score halves every this many seconds.
+constexpr double kErrorHalflifeS = 30.0;
+/// Badness seconds per unit of error score.
+constexpr double kErrorCostS = 0.05;
+/// How long after its reboot a server counts as recovering: its cache is
+/// cold, a journal replay may be hogging its disks, and hedged reads
+/// should not bet on it.
+constexpr double kRecoveryWindowS = 5.0;
+/// Badness surcharge (seconds) while a server is recovering.
+constexpr double kRecoveryCostS = 0.05;
 }  // namespace
 
-HealthTracker::HealthTracker(std::size_t servers, Params p)
-    : p_(p), lat_(servers, 0.0), err_(servers),
-      recovered_at_(servers, kNever) {}
+HealthTracker::HealthTracker(std::size_t servers)
+    : lat_(servers, 0.0), err_(servers), recovered_at_(servers, kNever) {}
 
 void HealthTracker::note_success(std::size_t server, simkit::Time now,
                                  simkit::Duration latency) {
   if (server >= lat_.size()) return;
   double& l = lat_[server];
-  l = l == 0.0 ? latency : (1.0 - p_.latency_alpha) * l +
-                               p_.latency_alpha * latency;
+  l = l == 0.0 ? latency : (1.0 - kLatencyAlpha) * l +
+                               kLatencyAlpha * latency;
   // Touch the error state so its decay clock doesn't jump later.
   err_[server].score = decayed(err_[server], now);
   err_[server].last = now;
@@ -61,7 +72,7 @@ bool HealthTracker::recovering(std::size_t server,
                                simkit::Time now) const noexcept {
   if (server >= recovered_at_.size()) return false;
   const simkit::Time at = recovered_at_[server];
-  return at != kNever && now - at < p_.recovery_window_s;
+  return at != kNever && now - at < kRecoveryWindowS;
 }
 
 bool HealthTracker::any_recovering(std::span<const std::uint32_t> servers,
@@ -76,7 +87,7 @@ double HealthTracker::decayed(const ErrorState& e,
                               simkit::Time now) const noexcept {
   if (e.score == 0.0) return 0.0;
   const double dt = std::max(0.0, now - e.last);
-  return e.score * std::exp2(-dt / p_.error_halflife_s);
+  return e.score * std::exp2(-dt / kErrorHalflifeS);
 }
 
 double HealthTracker::ewma_latency(std::size_t server) const noexcept {
@@ -93,8 +104,8 @@ double HealthTracker::badness(std::size_t server,
   // A recovering server is priced worse than its history says: the
   // cache it earned that history with died in the crash.
   const double surcharge =
-      recovering(server, now) ? p_.recovery_cost_s : 0.0;
-  return ewma_latency(server) + p_.error_cost_s * error_score(server, now) +
+      recovering(server, now) ? kRecoveryCostS : 0.0;
+  return ewma_latency(server) + kErrorCostS * error_score(server, now) +
          surcharge;
 }
 

@@ -30,23 +30,9 @@ class Engine;
 
 namespace pario {
 
-struct HealthParams {
-  double latency_alpha = 0.25;     // EWMA weight of the newest sample
-  double error_halflife_s = 30.0;  // error score halves every this long
-  double error_cost_s = 0.05;      // badness seconds per unit error score
-  /// How long after its reboot a server is considered "recovering":
-  /// its cache is cold, a journal replay may be hogging its disks, and
-  /// hedged reads should not bet on it.
-  double recovery_window_s = 5.0;
-  /// Badness surcharge (seconds) while a server is recovering.
-  double recovery_cost_s = 0.05;
-};
-
 class HealthTracker {
  public:
-  using Params = HealthParams;
-
-  explicit HealthTracker(std::size_t servers, Params p = Params());
+  explicit HealthTracker(std::size_t servers);
 
   std::size_t servers() const noexcept { return lat_.size(); }
 
@@ -59,8 +45,9 @@ class HealthTracker {
   /// The server's node crashed: count it as an error burst (requests
   /// there will fail) and clear any stale recovery mark.
   void note_crash(std::size_t server, simkit::Time now);
-  /// The server rebooted: it re-enters with a cold cache, so it carries
-  /// a recovery surcharge for recovery_window_s.
+  /// The server rebooted: it re-enters with a cold cache (and maybe a
+  /// journal replay hogging its disks), so it carries a recovery
+  /// surcharge for a few seconds.
   void note_recovery(std::size_t server, simkit::Time now);
   /// Inside the post-reboot recovery window?
   bool recovering(std::size_t server, simkit::Time now) const noexcept;
@@ -120,7 +107,6 @@ class HealthTracker {
   };
   double decayed(const ErrorState& e, simkit::Time now) const noexcept;
 
-  Params p_;
   std::vector<double> lat_;        // EWMA latency, 0 = no samples yet
   std::vector<ErrorState> err_;
   std::vector<simkit::Time> recovered_at_;  // last reboot; -inf = never

@@ -98,8 +98,7 @@ simkit::Task<void> StripedFs::piece_read(hw::NodeId client, FileId file,
 }
 
 bool StripedFs::durable_at_ack() const noexcept {
-  return !io_.write_behind ||
-         io_.server.durability.policy ==
+  return io_.server.durability.policy ==
              iosrv::DurabilityPolicy::kWriteThrough ||
          io_.server.durability.policy == iosrv::DurabilityPolicy::kJournaled;
 }
@@ -167,17 +166,7 @@ simkit::Task<void> StripedFs::pwrite(hw::NodeId client, FileId file,
   co_await simkit::when_all(eng_, std::move(ops));
 }
 
-simkit::Task<void> StripedFs::flush(hw::NodeId client, FileId file) {
-  co_await eng_.delay(simkit::milliseconds(io_.client_syscall_ms));
-  (void)client;
-  std::vector<simkit::Task<void>> ops;
-  for (auto& node : nodes_) ops.push_back(node->drain(file));
-  co_await simkit::when_all(eng_, std::move(ops));
-}
-
-simkit::Task<void> StripedFs::fsync(hw::NodeId client, FileId file) {
-  co_await eng_.delay(simkit::milliseconds(io_.client_syscall_ms));
-  (void)client;
+std::vector<simkit::Task<void>> StripedFs::drains(FileId file) {
   // Only the file's own servers hold its data; drain exactly those.
   // drain() rethrows recorded drain failures, so a barrier over lossy
   // writes fails instead of lying.
@@ -185,14 +174,18 @@ simkit::Task<void> StripedFs::fsync(hw::NodeId client, FileId file) {
   for (const std::uint32_t s : files_.at(file)->map.server_list()) {
     ops.push_back(nodes_[s]->drain(file));
   }
-  co_await simkit::when_all(eng_, std::move(ops));
+  return ops;
+}
+
+simkit::Task<void> StripedFs::fsync(hw::NodeId client, FileId file) {
+  co_await eng_.delay(simkit::milliseconds(io_.client_syscall_ms));
+  (void)client;
+  co_await simkit::when_all(eng_, drains(file));
 }
 
 simkit::Task<void> StripedFs::close(hw::NodeId client, FileId file) {
-  // Close semantics: drain write-behind data, then a metadata round-trip.
-  std::vector<simkit::Task<void>> ops;
-  for (auto& node : nodes_) ops.push_back(node->drain(file));
-  co_await simkit::when_all(eng_, std::move(ops));
+  // Close semantics: drain buffered data, then a metadata round-trip.
+  co_await simkit::when_all(eng_, drains(file));
   co_await eng_.delay(simkit::milliseconds(io_.client_syscall_ms));
   IoNode& meta = *nodes_[files_[file]->map.server_of(0)];
   auto& net = machine_.network();
@@ -392,12 +385,6 @@ simkit::ProcHandle FileHandle::iread(std::uint64_t offset, std::uint64_t len,
                                      std::span<std::byte> out) {
   return fs_->machine().engine().spawn(
       fs_->pread(client_, file_, offset, len, out), "iread");
-}
-
-simkit::Task<void> FileHandle::flush() {
-  const simkit::Time t0 = fs_->machine().engine().now();
-  co_await fs_->flush(client_, file_);
-  record(OpKind::kFlush, t0, 0);
 }
 
 simkit::Task<void> FileHandle::fsync() {

@@ -97,10 +97,9 @@ class FileHandle {
   simkit::ProcHandle iread(std::uint64_t offset, std::uint64_t len,
                            std::span<std::byte> out = {});
 
-  /// Wait until all buffered (write-behind) data of this file is on disk.
-  simkit::Task<void> flush();
   /// Durable flush barrier: completes only when every acked write of
   /// this file is on disk at its servers (the ordered_drain contract).
+  /// Traced as a Flush.
   simkit::Task<void> fsync();
   simkit::Task<void> close();
 
@@ -189,12 +188,13 @@ class StripedFs {
   simkit::Task<void> pwrite(hw::NodeId client, FileId file,
                             std::uint64_t offset, std::uint64_t len,
                             std::span<const std::byte> data = {});
-  simkit::Task<void> flush(hw::NodeId client, FileId file);
-  /// Durable flush barrier on the file's own servers — the fsync the
-  /// ordered_drain durability policy exposes.  Completes only when the
-  /// file has no acked-but-unflushed blocks left; rethrows the first
-  /// drain failure instead of reporting a lossy flush as clean.
+  /// Durable flush barrier on the file's own servers — the one drain
+  /// barrier, and the fsync the ordered_drain durability policy exposes.
+  /// Completes only when the file has no acked-but-unflushed blocks
+  /// left; rethrows the first drain failure instead of reporting a lossy
+  /// flush as clean.
   simkit::Task<void> fsync(hw::NodeId client, FileId file);
+  /// Drains the file's servers like fsync, then a metadata round-trip.
   simkit::Task<void> close(hw::NodeId client, FileId file);
 
   /// Shrink (or declare) the file size — a metadata round-trip, used by
@@ -248,6 +248,10 @@ class StripedFs {
   /// in the audit ledger (torn-write detection); 0 means ungrouped.
   simkit::Task<void> piece_write(hw::NodeId client, FileId file,
                                  StripePiece piece, std::uint64_t group);
+
+  /// One drain of `file` per server it is striped over, in the order
+  /// its stripe map lists them (node order for a default-striped file).
+  std::vector<simkit::Task<void>> drains(FileId file);
 
   /// Does a server ack imply durability under the configured policy?
   bool durable_at_ack() const noexcept;

@@ -48,8 +48,7 @@ IoNode::IoNode(simkit::Engine& eng, hw::NodeId self, std::size_t index,
     // disks' transient-fault episodes.
     log_disk_ = std::make_unique<DiskArm>(eng, disk, io_.scan_scheduling);
   }
-  if (io_.server.writeback.mode == iosrv::WritebackMode::kPool &&
-      io_.write_behind) {
+  if (io_.server.writeback.mode == iosrv::WritebackMode::kPool) {
     iosrv::WritebackConfig wb = io_.server.writeback;
     if (io_.server.durability.policy == iosrv::DurabilityPolicy::kJournaled) {
       // The pool is the in-memory image of the bounded redo log: a
@@ -222,35 +221,34 @@ simkit::Task<void> IoNode::process(hw::AccessKind kind, hw::NodeId client,
       }
     }
     if (ra_on) maybe_readahead(client, file, key.block);
-  } else if (io_.write_behind && pool_ &&
-             io_.server.durability.policy !=
-                 iosrv::DurabilityPolicy::kWriteThrough) {
+  } else if (io_.server.durability.policy ==
+             iosrv::DurabilityPolicy::kWriteThrough) {
+    // The whole in-place write sits between request and ack: that is
+    // write_through's per-write durability price.
+    const simkit::Time w0 = eng_.now();
+    co_await disk_for(file).serve(phys_of(file, local_offset), length,
+                                  hw::AccessKind::kWrite);
+    durability_wait_ += eng_.now() - w0;
+    ++disk_writes_;
+    if (m_disk_writes_) m_disk_writes_->inc();
+    cache_->insert(key, false);
+  } else {
     // Every journaled ack pays its redo-log append first — absorbed
     // overwrites included, since each acked write is its own record.
     if (io_.server.durability.policy ==
         iosrv::DurabilityPolicy::kJournaled) {
       co_await journal_append(length);
     }
-    if (pool_->is_dirty(key)) {
-      // Absorbed into an already-buffered block: refresh the cache entry.
+    if (pool_ ? pool_->is_dirty(key) : cache_->is_dirty(key)) {
+      // Absorbed into an already-buffered block: no new slot, no new
+      // flush; refresh the cache entry.
       cache_->insert(key, true);
-    } else {
+    } else if (pool_) {
       const std::size_t stalls_before = pool_->stalls();
       co_await pool_->submit({key, local_offset, length});
       if (m_wb_stalls_ && pool_->stalls() != stalls_before) {
         m_wb_stalls_->inc();
       }
-      cache_->insert(key, true);
-    }
-  } else if (io_.write_behind &&
-             io_.server.durability.policy !=
-                 iosrv::DurabilityPolicy::kWriteThrough) {
-    if (io_.server.durability.policy ==
-        iosrv::DurabilityPolicy::kJournaled) {
-      co_await journal_append(length);
-    }
-    if (cache_->is_dirty(key)) {
-      // Absorbed into an already-dirty block: no new slot, no new flush.
       cache_->insert(key, true);
     } else {
       co_await dirty_slots_.acquire();  // backpressure when flusher lags
@@ -258,19 +256,6 @@ simkit::Task<void> IoNode::process(hw::AccessKind kind, hw::NodeId client,
       ++dirty_count_[file];
       eng_.spawn(flush_block(file, local_offset, length, key), "flush");
     }
-  } else {
-    const simkit::Time w0 = eng_.now();
-    co_await disk_for(file).serve(phys_of(file, local_offset), length,
-                                  hw::AccessKind::kWrite);
-    if (io_.server.durability.policy ==
-        iosrv::DurabilityPolicy::kWriteThrough) {
-      // The whole in-place write sits between request and ack: that is
-      // write_through's per-write durability price.
-      durability_wait_ += eng_.now() - w0;
-    }
-    ++disk_writes_;
-    if (m_disk_writes_) m_disk_writes_->inc();
-    cache_->insert(key, false);
   }
   busy_ += eng_.now() - t0;
 }

@@ -6,13 +6,14 @@
 //      in the paper (the more calls, the worse),
 //   2. block cache lookup (pluggable iosrv::CachePolicy — LRU by
 //      default, ARC for scan-resistant shared servers),
-//   3. on miss / synchronous write: the owning disk arm is acquired and a
-//      mechanical DiskModel prices the access (stateful head position, so
-//      interleaved far-apart requests pay seeks),
-//   4. write-behind (Paragon): writes complete once a dirty-cache slot is
-//      taken; a spawned flush process writes the block out asynchronously.
-//      With iosrv::WritebackMode::kPool the per-write flusher is replaced
-//      by a bounded dirty pool drained between watermarks.
+//   3. on miss / write_through write (SP-2): the owning disk arm is
+//      acquired and a mechanical DiskModel prices the access (stateful
+//      head position, so interleaved far-apart requests pay seeks),
+//   4. every other durability policy buffers (Paragon): writes complete
+//      once a dirty-cache slot is taken; a spawned flush process writes
+//      the block out asynchronously.  With iosrv::WritebackMode::kPool the
+//      per-write flusher is replaced by a bounded dirty pool drained
+//      between watermarks.
 //
 // With read-ahead enabled (iosrv::ReadAheadConfig) the node watches each
 // (client, file) stream for constant-stride runs and prefetches ahead of
@@ -21,7 +22,7 @@
 // iosrv features default off; the default node is byte-identical to the
 // pre-iosrv passive server.
 //
-// Crash semantics (iosrv::DurabilityConfig, default OFF; write-behind
+// Crash semantics (iosrv::DurabilityConfig, default OFF; buffered writes
 // must then use the pool, see MachineConfig::validate): when enabled and
 // a fault::Injector crash hits this node, the volatile state dies with
 // it — the block cache and writeback pool are invalidated,

@@ -24,13 +24,6 @@ const char* to_string(Coordination c) {
   return "?";
 }
 
-std::optional<Coordination> parse_coordination(std::string_view s) {
-  if (s == "free_for_all") return Coordination::kFreeForAll;
-  if (s == "ordered_slots") return Coordination::kOrderedSlots;
-  if (s == "cooperative") return Coordination::kCooperative;
-  return std::nullopt;
-}
-
 namespace {
 
 /// Concurrent heavy-I/O phases platform-wide under kOrderedSlots.

@@ -45,7 +45,6 @@ enum class Coordination : std::uint8_t {
 };
 
 const char* to_string(Coordination c);
-std::optional<Coordination> parse_coordination(std::string_view s);
 
 struct PlatformOptions {
   Discipline discipline = Discipline::kFcfs;

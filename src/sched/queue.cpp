@@ -16,13 +16,6 @@ const char* to_string(Discipline d) {
   return "?";
 }
 
-std::optional<Discipline> parse_discipline(std::string_view s) {
-  if (s == "fcfs") return Discipline::kFcfs;
-  if (s == "priority") return Discipline::kPriority;
-  if (s == "backfill") return Discipline::kBackfill;
-  return std::nullopt;
-}
-
 namespace {
 
 /// Greedy in-order scan: start jobs while they fit; the first job that

@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "simkit/time.hpp"
@@ -25,7 +23,6 @@ enum class Discipline : std::uint8_t {
 };
 
 const char* to_string(Discipline d);
-std::optional<Discipline> parse_discipline(std::string_view s);
 
 /// What a discipline sees of a pending job.
 struct PendingView {

@@ -14,21 +14,4 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::normal(double mean, double stddev) {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return mean + stddev * cached_normal_;
-  }
-  double u1;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * 3.14159265358979323846 * u2;
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
-  return mean + stddev * r * std::cos(theta);
-}
-
 }  // namespace simkit

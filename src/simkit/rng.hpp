@@ -4,13 +4,6 @@
 // (integral evaluation costs, disk placement jitter, ...) draw from
 // explicitly seeded streams.  xoshiro256** is fast, high quality, and
 // trivially splittable via long-jumpable seeding with splitmix64.
-//
-// Draws are batched: refill() advances the generator kBatch steps at a
-// time into a buffer and next() serves from it, keeping the hot path to
-// a load and an index bump.  Batching is invisible to consumers — the
-// output sequence, and the child streams split() derives, are
-// bit-identical to the unbatched generator (split() reconstructs the
-// state at the logical consumption point before deriving).
 #pragma once
 
 #include <cstdint>
@@ -29,28 +22,30 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) {
 class Rng {
  public:
   using result_type = std::uint64_t;
-  static constexpr int kBatch = 8;
 
   explicit Rng(std::uint64_t seed = 0x5EEDF00Du) { reseed(seed); }
 
   void reseed(std::uint64_t seed) {
     std::uint64_t sm = seed;
     for (auto& word : s_) word = splitmix64(sm);
-    batch_pos_ = kBatch;  // buffer empty
   }
 
-  /// Derive an independent stream (e.g. one per simulated rank).  Uses
-  /// the state at the logical consumption point, so a split after N
-  /// draws yields the same child whether or not those draws were
-  /// served from a batch.
+  /// Derive an independent stream (e.g. one per simulated rank) from the
+  /// current state; the parent's own stream is not advanced.
   Rng split(std::uint64_t stream_id) const {
-    Rng child(logical_s0() ^ (0x9E3779B97f4A7C15ULL * (stream_id + 1)));
-    return child;
+    return Rng(s_[0] ^ (0x9E3779B97f4A7C15ULL * (stream_id + 1)));
   }
 
   std::uint64_t next() {
-    if (batch_pos_ == kBatch) refill();
-    return batch_[batch_pos_++];
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
   }
 
   // UniformRandomBitGenerator interface.
@@ -84,52 +79,12 @@ class Rng {
   /// Exponentially distributed with the given mean (>0).
   double exponential(double mean);
 
-  /// Normally distributed (Box–Muller, cached second variate).
-  double normal(double mean, double stddev);
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
 
-  static std::uint64_t step(std::uint64_t s[4]) {
-    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-    return result;
-  }
-
-  void refill() {
-    base_[0] = s_[0];
-    base_[1] = s_[1];
-    base_[2] = s_[2];
-    base_[3] = s_[3];
-    for (int i = 0; i < kBatch; ++i) batch_[i] = step(s_);
-    batch_pos_ = 0;
-  }
-
-  /// s_[0] as it stood at the logical consumption point: the state at
-  /// the last refill, advanced by the number of draws consumed since.
-  /// With the buffer empty (fresh seed or fully drained batch) the
-  /// logical point and the generator state coincide.
-  std::uint64_t logical_s0() const {
-    if (batch_pos_ == kBatch) return s_[0];
-    std::uint64_t s[4] = {base_[0], base_[1], base_[2], base_[3]};
-    for (int i = 0; i < batch_pos_; ++i) step(s);
-    return s[0];
-  }
-
-  std::uint64_t s_[4] = {};     // state kBatch steps ahead of consumption
-  std::uint64_t base_[4] = {};  // state at the last refill
-  int batch_pos_ = kBatch;      // next unconsumed buffer slot
-  std::uint64_t batch_[kBatch] = {};
-  bool has_cached_normal_ = false;
-  double cached_normal_ = 0.0;
+  std::uint64_t s_[4] = {};
 };
 
 }  // namespace simkit

@@ -8,7 +8,6 @@ namespace {
 
 DiskParams test_params() {
   DiskParams p;
-  p.name = "test";
   p.track_to_track_seek_ms = 1.0;
   p.average_seek_ms = 10.0;
   p.rpm = 6000.0;  // 10 ms/rev -> 5 ms avg rotational latency

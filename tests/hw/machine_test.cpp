@@ -73,8 +73,10 @@ TEST(MachineConfig, PresetsMatchPaperPlatforms) {
 
 TEST(MachineConfig, ParagonWriteBehindSp2Not) {
   // Thakur et al. (1996): Paragon faster on writes, SP-2 faster on reads.
-  EXPECT_TRUE(MachineConfig::paragon_large(16, 12).io.write_behind);
-  EXPECT_FALSE(MachineConfig::sp2(16).io.write_behind);
+  EXPECT_EQ(MachineConfig::paragon_large(16, 12).io.server.durability.policy,
+            iosrv::DurabilityPolicy::kWriteBehind);
+  EXPECT_EQ(MachineConfig::sp2(16).io.server.durability.policy,
+            iosrv::DurabilityPolicy::kWriteThrough);
 }
 
 TEST(Machine, DefaultFailureDomainsAreSingletons) {
@@ -139,16 +141,26 @@ TEST(MachineConfig, ValidateRejectsImpossibleShapes) {
 TEST(MachineConfig, CrashSemanticsNeedPooledWriteBehind) {
   MachineConfig cfg = MachineConfig::paragon_small(8, 2);
   cfg.io.server.durability.crash_semantics = true;
-  ASSERT_TRUE(cfg.io.write_behind);
-  EXPECT_THROW(cfg.validate(), ConfigError);  // legacy flusher
+  // Every buffering policy on the legacy flusher is rejected...
+  for (const iosrv::DurabilityPolicy p :
+       {iosrv::DurabilityPolicy::kWriteBehind,
+        iosrv::DurabilityPolicy::kOrderedDrain,
+        iosrv::DurabilityPolicy::kJournaled}) {
+    cfg.io.server.durability.policy = p;
+    cfg.io.server.writeback.mode = iosrv::WritebackMode::kLegacy;
+    EXPECT_THROW(cfg.validate(), ConfigError) << iosrv::to_string(p);
+    cfg.io.server.writeback.mode = iosrv::WritebackMode::kPool;
+    EXPECT_NO_THROW(cfg.validate()) << iosrv::to_string(p);
+  }
 
-  cfg.io.server.writeback.mode = iosrv::WritebackMode::kPool;
-  EXPECT_NO_THROW(cfg.validate());
-
-  // Without write-behind no write sits in server memory: any mode works.
+  // ...but write_through keeps no write in server memory: any mode works,
+  // so the SP-2 preset takes crash semantics as it is.
+  cfg.io.server.durability.policy = iosrv::DurabilityPolicy::kWriteThrough;
   cfg.io.server.writeback.mode = iosrv::WritebackMode::kLegacy;
-  cfg.io.write_behind = false;
   EXPECT_NO_THROW(cfg.validate());
+  MachineConfig sp2 = MachineConfig::sp2(8);
+  sp2.io.server.durability.crash_semantics = true;
+  EXPECT_NO_THROW(sp2.validate());
 }
 
 TEST(Machine, ConstructorValidates) {

@@ -109,20 +109,6 @@ TEST(Network, DisjointPairsProceedInParallel) {
   EXPECT_LT(done[0], 0.05);
 }
 
-TEST(Network, BaseTransferTimeMatchesUncontendedRun) {
-  simkit::Engine eng;
-  Network net(eng, std::make_unique<MeshTopology>(4, 4), fast_params());
-  const auto est = net.base_transfer_time(0, 5, 500'000);
-  double done_at = -1.0;
-  eng.spawn([](simkit::Engine& e, Network& n, double& out)
-                -> simkit::Task<void> {
-    co_await n.transfer(0, 5, 500'000);
-    out = e.now();
-  }(eng, net, done_at));
-  eng.run();
-  EXPECT_NEAR(done_at, est, 1e-9);
-}
-
 // transfer() holds its NICs in its own frame: one frame per call, local
 // or remote (a sub-task per NIC hold would add two).
 TEST(Network, TransferAllocatesOneFrame) {

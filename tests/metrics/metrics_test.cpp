@@ -180,7 +180,7 @@ TEST(Scope, InstallsAndNests) {
   EXPECT_EQ(current(), nullptr);
 }
 
-TEST(Export, JsonAndCsvShape) {
+TEST(Export, JsonShape) {
   Registry reg;
   reg.counter("a.count").inc(3);
   reg.gauge("b.level").set(1.5);
@@ -190,9 +190,6 @@ TEST(Export, JsonAndCsvShape) {
   EXPECT_NE(json.find("\"schema\": \"iosim.metrics.v1\""), std::string::npos);
   EXPECT_NE(json.find("\"a.count\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"c.lat\""), std::string::npos);
-  const std::string csv = to_csv(reg);
-  EXPECT_NE(csv.find("kind,name,field,value"), std::string::npos);
-  EXPECT_NE(csv.find("counter,a.count,value,3"), std::string::npos);
 }
 
 apps::ScfConfig tiny_cfg(apps::ScfVersion v) {

@@ -188,29 +188,34 @@ TEST(Resilient, PolicyValidationRejectsNonsense) {
 }
 
 TEST(HealthTracker, EwmaLatencyAndErrorDecay) {
-  HealthParams p;
-  p.latency_alpha = 0.5;
-  p.error_halflife_s = 10.0;
-  HealthTracker h(2, p);
+  HealthTracker h(2);
   EXPECT_EQ(h.ewma_latency(0), 0.0);
   h.note_success(0, 0.0, 0.100);
   EXPECT_DOUBLE_EQ(h.ewma_latency(0), 0.100);  // first sample seeds
   h.note_success(0, 1.0, 0.300);
-  EXPECT_DOUBLE_EQ(h.ewma_latency(0), 0.200);  // 0.5*0.1 + 0.5*0.3
-  // Errors decay with the configured halflife.
+  EXPECT_DOUBLE_EQ(h.ewma_latency(0), 0.150);  // 0.75*0.1 + 0.25*0.3
+  // Errors decay with a 30 s halflife.
   h.note_error(1, 0.0);
   EXPECT_DOUBLE_EQ(h.error_score(1, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.error_score(1, 10.0), 0.5);
-  h.note_error(1, 10.0);
-  EXPECT_DOUBLE_EQ(h.error_score(1, 10.0), 1.5);
-  // The erroring server looks worse than the merely slow one.
+  EXPECT_DOUBLE_EQ(h.error_score(1, 30.0), 0.5);
+  h.note_error(1, 30.0);
+  EXPECT_DOUBLE_EQ(h.error_score(1, 30.0), 1.5);
+  // The erroring server looks worse than the merely slow one: 0.05 s of
+  // badness per unit of error score.
   const std::vector<std::uint32_t> a{0};
   const std::vector<std::uint32_t> b{1};
-  h.note_success(1, 10.0, 0.200);  // same EWMA as server 0
-  EXPECT_EQ(h.pick_healthier(a, b, 10.0), 0u);
+  h.note_success(1, 30.0, 0.150);  // same EWMA as server 0
+  EXPECT_DOUBLE_EQ(h.badness(1, 30.0), 0.150 + 0.05 * 1.5);
+  EXPECT_EQ(h.pick_healthier(a, b, 30.0), 0u);
+  // A reboot adds a 0.05 s surcharge for 5 s.
+  h.note_recovery(0, 40.0);
+  EXPECT_TRUE(h.recovering(0, 44.9));
+  EXPECT_DOUBLE_EQ(h.badness(0, 44.9), 0.150 + 0.05);
+  EXPECT_FALSE(h.recovering(0, 45.0));
+  EXPECT_DOUBLE_EQ(h.badness(0, 45.0), 0.150);
   // Slowest-leg estimate over a server set.
   const std::vector<std::uint32_t> both{0, 1};
-  EXPECT_DOUBLE_EQ(h.expected_latency(both), 0.200);
+  EXPECT_DOUBLE_EQ(h.expected_latency(both), 0.150);
 }
 
 // A read of a file whose disk is stuck gets hedged against the healthy

@@ -12,7 +12,6 @@ namespace {
 
 hw::DiskParams slow_seek_disk() {
   hw::DiskParams p;
-  p.name = "test";
   p.track_to_track_seek_ms = 1.0;
   p.average_seek_ms = 20.0;
   p.rpm = 6000.0;

@@ -45,11 +45,34 @@ TEST(FsEdge, FlushWithNoDirtyDataIsCheap) {
   const FileId f = rig.fs.create("nf");
   double t = -1;
   rig.eng.spawn([](Rig& r, FileId f, double& out) -> simkit::Task<void> {
-    co_await r.fs.flush(r.machine.compute_node(0), f);
+    co_await r.fs.fsync(r.machine.compute_node(0), f);
     out = r.eng.now();
   }(rig, f, t));
   rig.eng.run();
   EXPECT_LT(t, 0.01);
+}
+
+// close and fsync drain only the servers a file is striped over, one
+// process each: against a file striped over all four servers, a file
+// placed on one server saves both barriers the same number of events.
+TEST(FsEdge, CloseAndFsyncDrainOnlyTheFilesServers) {
+  Rig rig(hw::MachineConfig::paragon_small(4, 4));
+  const FileId wide = rig.fs.create_placed("wide", false, {0, 1, 2, 3});
+  const FileId narrow = rig.fs.create_placed("narrow", false, {2});
+  const hw::NodeId c = rig.machine.compute_node(0);
+  auto events_of = [&rig](simkit::Task<void> op) {
+    const std::uint64_t before = rig.eng.events_processed();
+    rig.eng.spawn(std::move(op));
+    rig.eng.run();
+    return rig.eng.events_processed() - before;
+  };
+  const std::uint64_t fsync_wide = events_of(rig.fs.fsync(c, wide));
+  const std::uint64_t fsync_narrow = events_of(rig.fs.fsync(c, narrow));
+  const std::uint64_t close_wide = events_of(rig.fs.close(c, wide));
+  const std::uint64_t close_narrow = events_of(rig.fs.close(c, narrow));
+  EXPECT_GT(fsync_wide, fsync_narrow);
+  EXPECT_GT(close_wide, close_narrow);
+  EXPECT_EQ(close_wide - close_narrow, fsync_wide - fsync_narrow);
 }
 
 TEST(FsEdge, ReadOfNeverWrittenBackedFileIsZeros) {

@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "audit/audit.hpp"
+#include "hw/disk.hpp"
 #include "hw/machine.hpp"
 #include "simkit/engine.hpp"
 
@@ -171,12 +173,63 @@ TEST(StripedFs, FlushWaitsForWriteBehindData) {
     const auto n = r.machine.compute_node(0);
     co_await r.fs.pwrite(n, f, 0, 4 << 20);
     t0 = r.eng.now();
-    co_await r.fs.flush(n, f);
+    co_await r.fs.fsync(n, f);
     t1 = r.eng.now();
   }(rig, f, before_flush, after_flush));
   rig.eng.run();
   EXPECT_GT(after_flush, before_flush);  // flush had real work to wait on
   EXPECT_GE(rig.fs.total_disk_writes(), (4u << 20) / (64 * 1024));
+}
+
+// The SP-2 preset writes through: a one-block write acks after exactly
+// one in-place disk write, the audit ledger takes the ack as durable (a
+// crash at the ack loses nothing), and the node bills the disk write to
+// its durability wait.  The Paragon preset acks from its cache instead.
+TEST(StripedFs, Sp2WriteIsOneSynchronousDurableDiskWrite) {
+  struct Seen {
+    std::uint64_t disk_writes_at_ack = 0;
+    std::uint64_t disk_writes_at_end = 0;
+    std::uint64_t lost_at_ack = 0;
+    double durability_wait = 0.0;
+  };
+  auto write_block = [](hw::MachineConfig cfg) {
+    Rig rig(std::move(cfg));
+    audit::Ledger ledger;
+    audit::Scope scope(ledger);
+    const FileId f = rig.fs.create("w");
+    Seen seen;
+    rig.eng.spawn([](Rig& r, FileId f, audit::Ledger& led,
+                     Seen& out) -> simkit::Task<void> {
+      const std::uint64_t len = r.fs.params().stripe_unit_bytes;
+      co_await r.fs.pwrite(r.machine.compute_node(0), f, 0, len);
+      out.disk_writes_at_ack = r.fs.total_disk_writes();
+      led.note_lost(f, r.fs.stripe_map(f).server_of(0), 0, len);
+      out.lost_at_ack = led.totals().lost_updates;
+    }(rig, f, ledger, seen));
+    rig.eng.run();
+    seen.disk_writes_at_end = rig.fs.total_disk_writes();
+    seen.durability_wait =
+        rig.fs.io_node(rig.fs.stripe_map(f).server_of(0)).durability_wait();
+    return seen;
+  };
+
+  const hw::MachineConfig sp2 = hw::MachineConfig::sp2(4);
+  const Seen through = write_block(sp2);
+  EXPECT_EQ(through.disk_writes_at_ack, 1u);
+  EXPECT_EQ(through.disk_writes_at_end, 1u);
+  EXPECT_EQ(through.lost_at_ack, 0u);
+  // The first write of a file lands at the head's start position: no
+  // seek, so the wait is the model's sequential write time.
+  hw::DiskModel disk(sp2.disk);
+  EXPECT_NEAR(through.durability_wait,
+              disk.access(0, sp2.io.stripe_unit_bytes, hw::AccessKind::kWrite),
+              1e-12);
+
+  const Seen behind = write_block(hw::MachineConfig::paragon_small(4, 2));
+  EXPECT_EQ(behind.disk_writes_at_ack, 0u);
+  EXPECT_EQ(behind.disk_writes_at_end, 1u);
+  EXPECT_EQ(behind.lost_at_ack, 1u);
+  EXPECT_EQ(behind.durability_wait, 0.0);
 }
 
 TEST(StripedFs, ConcurrentClientsContendAtIoNodes) {

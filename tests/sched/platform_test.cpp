@@ -151,15 +151,4 @@ TEST(Platform, EstimateIsPositiveAndMonotonicInSize) {
   EXPECT_GT(large, small);
 }
 
-TEST(Platform, CoordinationEnumRoundTrips) {
-  for (const sched::Coordination c :
-       {sched::Coordination::kFreeForAll, sched::Coordination::kOrderedSlots,
-        sched::Coordination::kCooperative}) {
-    const auto parsed = sched::parse_coordination(sched::to_string(c));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, c);
-  }
-  EXPECT_FALSE(sched::parse_coordination("anarchic").has_value());
-}
-
 }  // namespace

@@ -101,15 +101,4 @@ TEST(NodeAllocator, ThrowsOnOverAllocation) {
   EXPECT_THROW(alloc.allocate(2), std::logic_error);
 }
 
-TEST(QueueEnums, RoundTripParse) {
-  for (const sched::Discipline d :
-       {sched::Discipline::kFcfs, sched::Discipline::kPriority,
-        sched::Discipline::kBackfill}) {
-    const auto parsed = sched::parse_discipline(sched::to_string(d));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, d);
-  }
-  EXPECT_FALSE(sched::parse_discipline("round_robin").has_value());
-}
-
 }  // namespace

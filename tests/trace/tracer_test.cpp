@@ -74,7 +74,7 @@ TEST(IoTracer, PlugsIntoFileHandle) {
     co_await h.write(128 * 1024);
     co_await h.seek(0);
     co_await h.read(64 * 1024);
-    co_await h.flush();
+    co_await h.fsync();
     co_await h.close();
   }(machine, fs, f, tracer));
   eng.run();
