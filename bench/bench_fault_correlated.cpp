@@ -62,10 +62,7 @@ ckpt::Report run_once(const RowCfg& cfg, double scale, std::uint64_t seed,
 
   fault::InjectionPlan plan = fault::InjectionPlan::correlated_node_crashes(
       kIoNodes, kFanIn, kMtbf, kOutage, cfg.fraction, kCrashHorizon, seed);
-  fault::MarkovDiskParams mp;
-  mp.enabled = true;
-  mp.horizon = kMarkovHorizon;
-  plan.with_markov_disks(mp);
+  plan.with_markov_disks(kMarkovHorizon);
   fault::Injector injector(std::move(plan));
   pfs::StripedFs fs(machine, &injector);
 

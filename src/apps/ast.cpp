@@ -14,12 +14,10 @@
 namespace apps {
 namespace {
 
-struct RankCtx {
+struct RankCtx : RankTally {
   const AstConfig* cfg;
   pfs::StripedFs* fs;
   pfs::FileId file;
-  trace::IoTracer tracer;
-  simkit::Duration compute_time = 0.0;
 };
 
 /// Rank r's share of one array in a dump.  Block-column decomposition of
@@ -169,18 +167,7 @@ RunResult run_ast(const AstConfig& cfg) {
         co_await ast_rank(c, *ctxs[static_cast<std::size_t>(c.rank())]);
       });
 
-  RunResult res;
-  res.exec_time = t;
-  for (auto& ctx : ctxs) {
-    res.trace.merge(ctx->tracer);
-    res.compute_time += ctx->compute_time;
-  }
-  res.io_time = res.trace.total_io_time();
-  res.io_bytes = res.trace.summary(pfs::OpKind::kWrite).bytes;
-  res.io_calls = res.trace.total_ops();
-  res.derive_io_wall(cfg.nprocs);
-  publish_run_metrics("ast", res);
-  return res;
+  return finish_run("ast", t, ctxs, IoBytes::kWritten);
 }
 
 }  // namespace apps

@@ -15,12 +15,10 @@
 namespace apps {
 namespace {
 
-struct RankCtx {
+struct RankCtx : RankTally {
   const BtioConfig* cfg;
   pfs::StripedFs* fs;
   pfs::FileId file;
-  trace::IoTracer tracer;
-  simkit::Duration compute_time = 0.0;
 };
 
 /// The pencils (x-rows) rank r owns in one solution dump, as file extents
@@ -139,18 +137,7 @@ RunResult run_btio(const BtioConfig& cfg) {
         co_await btio_rank(c, *ctxs[static_cast<std::size_t>(c.rank())], q);
       });
 
-  RunResult res;
-  res.exec_time = t;
-  for (auto& ctx : ctxs) {
-    res.trace.merge(ctx->tracer);
-    res.compute_time += ctx->compute_time;
-  }
-  res.io_time = res.trace.total_io_time();
-  res.io_bytes = res.trace.summary(pfs::OpKind::kWrite).bytes;
-  res.io_calls = res.trace.total_ops();
-  res.derive_io_wall(cfg.nprocs);
-  publish_run_metrics("btio", res);
-  return res;
+  return finish_run("btio", t, ctxs, IoBytes::kWritten);
 }
 
 }  // namespace apps

@@ -1,9 +1,10 @@
-// apps/common.hpp — shared result record and work split for application
-// runs.
+// apps/common.hpp — shared result record, work split and run epilogue
+// for application runs.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,40 @@ inline void publish_run_metrics(const std::string& app, const RunResult& r) {
   reg->gauge(prefix + "compute_s").set(r.compute_time);
   reg->counter(prefix + "io_bytes").inc(r.io_bytes);
   reg->counter(prefix + "io_calls").inc(r.io_calls);
+}
+
+/// What each rank of a traced run accumulates: its own Pablo-style trace
+/// and the simulated time it spent computing.
+struct RankTally {
+  trace::IoTracer tracer;
+  simkit::Duration compute_time = 0.0;
+};
+
+/// Which traced bytes a run's bandwidth counts.
+enum class IoBytes { kAll, kWritten };
+
+/// The epilogue of a traced run over one rank context per process (each
+/// a RankTally): merge the ranks' traces in rank order, sum their compute
+/// time, take I/O time and calls from the merged trace, derive the wall
+/// I/O time and publish the apps.<app>.* instruments.
+template <class Rank>
+RunResult finish_run(const std::string& app, simkit::Duration exec_time,
+                     const std::vector<std::unique_ptr<Rank>>& ranks,
+                     IoBytes counted) {
+  RunResult res;
+  res.exec_time = exec_time;
+  for (const auto& r : ranks) {
+    res.trace.merge(r->tracer);
+    res.compute_time += r->compute_time;
+  }
+  res.io_time = res.trace.total_io_time();
+  res.io_bytes = counted == IoBytes::kAll
+                     ? res.trace.total_bytes()
+                     : res.trace.summary(pfs::OpKind::kWrite).bytes;
+  res.io_calls = res.trace.total_ops();
+  res.derive_io_wall(static_cast<int>(ranks.size()));
+  publish_run_metrics(app, res);
+  return res;
 }
 
 }  // namespace apps

@@ -12,14 +12,12 @@
 namespace apps {
 namespace {
 
-struct RankCtx {
+struct RankCtx : RankTally {
   const ScfConfig* cfg;
   pfs::StripedFs* fs;
   pfs::FileId file;
   std::uint64_t my_bytes;
   std::uint64_t my_integrals;
-  trace::IoTracer tracer;
-  simkit::Duration compute_time = 0.0;
 };
 
 simkit::Task<void> scf_rank(mprt::Comm& c, RankCtx& ctx) {
@@ -147,26 +145,16 @@ RunResult run_scf11(const ScfConfig& cfg) {
         co_await scf_rank(c, *ctxs[static_cast<std::size_t>(c.rank())]);
       });
 
-  RunResult res;
-  res.exec_time = t;
-  metrics::Registry* reg = metrics::current();
-  for (auto& ctx : ctxs) {
-    res.trace.merge(ctx->tracer);
-    res.compute_time += ctx->compute_time;
-    if (reg) {
-      // Per-rank distributions expose the load imbalance a single merged
-      // total hides (the paper's Table 4 skew).
+  if (metrics::Registry* reg = metrics::current()) {
+    // Per-rank distributions expose the load imbalance a single merged
+    // total hides (the paper's Table 4 skew).
+    for (const auto& ctx : ctxs) {
       reg->histogram("apps.scf11.rank_compute_s").observe(ctx->compute_time);
       reg->histogram("apps.scf11.rank_io_s")
           .observe(ctx->tracer.total_io_time());
     }
   }
-  res.io_time = res.trace.total_io_time();
-  res.io_bytes = res.trace.total_bytes();
-  res.io_calls = res.trace.total_ops();
-  res.derive_io_wall(cfg.nprocs);
-  publish_run_metrics("scf11", res);
-  return res;
+  return finish_run("scf11", t, ctxs, IoBytes::kAll);
 }
 
 }  // namespace apps

@@ -13,13 +13,11 @@
 namespace apps {
 namespace {
 
-struct RankCtx {
+struct RankCtx : RankTally {
   const Scf30Config* cfg;
   pfs::StripedFs* fs;
   pfs::FileId file;
   std::uint64_t my_integrals;  // integrals this rank evaluates
-  trace::IoTracer tracer;
-  simkit::Duration compute_time = 0.0;
 };
 
 simkit::Task<void> scf30_rank(mprt::Comm& c, RankCtx& ctx) {
@@ -122,18 +120,7 @@ RunResult run_scf30(const Scf30Config& cfg) {
         co_await scf30_rank(c, *ctxs[static_cast<std::size_t>(c.rank())]);
       });
 
-  RunResult res;
-  res.exec_time = t;
-  for (auto& ctx : ctxs) {
-    res.trace.merge(ctx->tracer);
-    res.compute_time += ctx->compute_time;
-  }
-  res.io_time = res.trace.total_io_time();
-  res.io_bytes = res.trace.total_bytes();
-  res.io_calls = res.trace.total_ops();
-  res.derive_io_wall(cfg.nprocs);
-  publish_run_metrics("scf30", res);
-  return res;
+  return finish_run("scf30", t, ctxs, IoBytes::kAll);
 }
 
 }  // namespace apps

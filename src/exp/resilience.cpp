@@ -62,11 +62,10 @@ std::string resilience_summary(const ckpt::Report& rep,
            fmt_u64(rep.hedge_wins) + " won by the mirror)\n";
   }
   if (injector) {
-    out += "injected: " + fmt_u64(injector->transient_errors()) +
-           " transient errors, " + fmt_u64(injector->rejected_requests()) +
+    out += "injected: " + fmt_u64(injector->rejected_requests()) +
            " requests rejected at down nodes\n";
     if (!injector->plan().domain_outages.empty() ||
-        injector->plan().disk_markov.enabled) {
+        injector->plan().markov_horizon > 0.0) {
       out += "correlated: " +
              fmt_u64(injector->plan().domain_outages.size()) +
              " domain outages, " + fmt_u64(injector->sticky_transitions()) +

@@ -1,8 +1,21 @@
 #include "fault/injector.hpp"
 
-#include <algorithm>
+#include "simkit/rng.hpp"
 
 namespace fault {
+namespace {
+
+// The Markov disk-arm walk's rates and stretches.  Mean dwell (s) in
+// each state, the chance a sticking arm goes fully stuck instead of
+// healing, and the service-time stretch while sticky or stuck.
+constexpr double kMeanHealthyS = 600.0;
+constexpr double kMeanStickyS = 20.0;
+constexpr double kMeanStuckS = 5.0;
+constexpr double kPStick = 0.25;
+constexpr double kStickyFactor = 4.0;
+constexpr double kStuckFactor = 40.0;
+
+}  // namespace
 
 simkit::Task<void> Injector::arm_crash(std::size_t node, bool scrub) {
   if (node >= down_.size()) down_.resize(node + 1, 0);
@@ -23,23 +36,6 @@ simkit::Task<void> Injector::clear_crash(std::size_t node) {
   co_return;
 }
 
-simkit::Task<void> Injector::arm_episode(std::uint64_t disk_key,
-                                         double factor) {
-  ++episode_depth_[disk_key];
-  auto it = disks_.find(disk_key);
-  // Overlapping episodes on one disk: the most recently armed factor wins.
-  if (it != disks_.end()) it->second->set_service_scale(factor);
-  co_return;
-}
-
-simkit::Task<void> Injector::clear_episode(std::uint64_t disk_key) {
-  auto depth = episode_depth_.find(disk_key);
-  if (depth == episode_depth_.end() || --depth->second > 0) co_return;
-  episode_depth_.erase(depth);
-  auto it = disks_.find(disk_key);
-  if (it != disks_.end()) it->second->set_service_scale(1.0);
-}
-
 simkit::Task<void> Injector::markov_step(std::uint64_t disk_key,
                                          double factor, int state) {
   auto it = disks_.find(disk_key);
@@ -55,30 +51,30 @@ void Injector::schedule_markov(simkit::Engine& eng) {
   // seed by the disk's stable key: generation order (disks_ is a sorted
   // map) and disk count don't perturb each other's walks.  All edges are
   // pre-materialized here, so the run replays bit-identically.
-  const MarkovDiskParams& mp = plan_.disk_markov;
+  const simkit::Time horizon = plan_.markov_horizon;
   for (const auto& [k, model] : disks_) {
     (void)model;
     simkit::Rng walk = simkit::Rng(plan_.seed ^ 0xD15Cul).split(k + 1);
     simkit::Time t = 0.0;
     int state = 0;  // 0 healthy, 1 sticky, 2 stuck
     for (;;) {
-      const double dwell = state == 0   ? walk.exponential(mp.mean_healthy_s)
-                           : state == 1 ? walk.exponential(mp.mean_sticky_s)
-                                        : walk.exponential(mp.mean_stuck_s);
+      const double dwell = state == 0   ? walk.exponential(kMeanHealthyS)
+                           : state == 1 ? walk.exponential(kMeanStickyS)
+                                        : walk.exponential(kMeanStuckS);
       t += dwell;
-      if (t >= mp.horizon) break;
+      if (t >= horizon) break;
       state = state == 0   ? 1
               : state == 2 ? 1
-                           : (walk.uniform() < mp.p_stick ? 2 : 0);
+                           : (walk.uniform() < kPStick ? 2 : 0);
       const double factor = state == 0   ? 1.0
-                            : state == 1 ? mp.sticky_factor
-                                         : mp.stuck_factor;
+                            : state == 1 ? kStickyFactor
+                                         : kStuckFactor;
       eng.spawn_at(t, markov_step(k, factor, state), "fault_markov");
     }
     // A walk that ends away from healthy heals at the horizon; without
     // this the tail of the run would stay degraded forever.
     if (state != 0) {
-      eng.spawn_at(mp.horizon, markov_step(k, 1.0, 0), "fault_markov");
+      eng.spawn_at(horizon, markov_step(k, 1.0, 0), "fault_markov");
     }
   }
 }
@@ -88,7 +84,6 @@ void Injector::start(simkit::Engine& eng) {
   started_ = true;
   if (metrics::Registry* r = metrics::current()) {
     m_crashes_ = &r->counter("fault.node_crashes");
-    m_transients_ = &r->counter("fault.transient_errors");
     m_rejections_ = &r->counter("fault.rejected_requests");
     m_disk_transitions_ = &r->counter("fault.disk_transitions");
     if (!plan_.domain_outages.empty()) {
@@ -104,12 +99,7 @@ void Injector::start(simkit::Engine& eng) {
     eng.spawn_at(c.crash, arm_crash(c.io_node, c.scrub), "fault_crash");
     eng.spawn_at(c.reboot, clear_crash(c.io_node), "fault_reboot");
   }
-  for (const auto& e : plan_.disk_episodes) {
-    const std::uint64_t k = key(e.io_node, e.disk);
-    eng.spawn_at(e.start, arm_episode(k, e.latency_factor), "fault_degrade");
-    eng.spawn_at(e.end, clear_episode(k), "fault_heal");
-  }
-  if (plan_.disk_markov.enabled) schedule_markov(eng);
+  if (plan_.markov_horizon > 0.0) schedule_markov(eng);
 }
 
 simkit::Time Injector::all_up_by(simkit::Time now) const noexcept {

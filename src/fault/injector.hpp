@@ -1,10 +1,10 @@
 // fault/injector.hpp — runtime fault state, armed by a simulated clock.
 //
 // The Injector turns an InjectionPlan into live machine state.  start()
-// schedules one finite process per fault edge (crash, reboot, episode
-// start/end) at its planned simulated time; pfs::IoNode consults the
-// armed state on every request, and registered hw::DiskModels have their
-// service_scale stretched for the duration of a degradation episode.
+// schedules one finite process per fault edge (crash, reboot, Markov
+// disk transition) at its planned simulated time; pfs::IoNode consults
+// the armed state on every request, and registered hw::DiskModels have
+// their service_scale stretched while their Markov walk is off healthy.
 //
 // Pay-for-what-you-use: a StripedFs without an injector (or with an empty
 // plan) takes no extra simulated time and produces bit-identical results.
@@ -20,14 +20,12 @@
 #include "hw/disk.hpp"
 #include "metrics/metrics.hpp"
 #include "simkit/engine.hpp"
-#include "simkit/rng.hpp"
 
 namespace fault {
 
 class Injector {
  public:
-  explicit Injector(InjectionPlan plan)
-      : plan_(std::move(plan)), rng_(plan_.seed) {}
+  explicit Injector(InjectionPlan plan) : plan_(std::move(plan)) {}
   Injector(const Injector&) = delete;
   Injector& operator=(const Injector&) = delete;
 
@@ -60,17 +58,7 @@ class Injector {
     return io_node < down_.size() && down_[io_node] > 0;
   }
 
-  /// Roll a transient request failure.  Consumes the RNG stream only when
-  /// the plan has a positive error probability.
-  bool roll_transient() {
-    if (plan_.transient_error_prob <= 0.0) return false;
-    if (rng_.uniform() >= plan_.transient_error_prob) return false;
-    ++transient_errors_;
-    if (m_transients_) m_transients_->inc();
-    return true;
-  }
-
-  /// A disk registers itself so degradation episodes can reach its model.
+  /// A disk registers itself so the Markov walk can reach its model.
   void attach_disk(std::size_t io_node, std::uint32_t disk,
                    hw::DiskModel* model) {
     disks_[key(io_node, disk)] = model;
@@ -93,7 +81,6 @@ class Injector {
                         simkit::Time t1) const noexcept;
 
   // -- counters -----------------------------------------------------------
-  std::uint64_t transient_errors() const noexcept { return transient_errors_; }
   std::uint64_t rejected_requests() const noexcept {
     return rejected_requests_;
   }
@@ -112,23 +99,17 @@ class Injector {
 
   simkit::Task<void> arm_crash(std::size_t node, bool scrub);
   simkit::Task<void> clear_crash(std::size_t node);
-  simkit::Task<void> arm_episode(std::uint64_t disk_key, double factor);
-  simkit::Task<void> clear_episode(std::uint64_t disk_key);
   simkit::Task<void> markov_step(std::uint64_t disk_key, double factor,
                                  int state);
   void schedule_markov(simkit::Engine& eng);
 
   InjectionPlan plan_;
-  simkit::Rng rng_;
   bool started_ = false;
-  // Overlapping windows/episodes nest: a node is down while its count is
-  // positive; a disk reverts to 1.0 only when its last episode ends.
+  // Overlapping windows nest: a node is down while its count is positive.
   std::vector<int> down_;
-  std::map<std::uint64_t, int> episode_depth_;
   std::map<std::uint64_t, hw::DiskModel*> disks_;
   std::vector<CrashListener> crash_listeners_;
   std::vector<RecoveryListener> recovery_listeners_;
-  std::uint64_t transient_errors_ = 0;
   std::uint64_t rejected_requests_ = 0;
   std::uint64_t sticky_transitions_ = 0;
   std::uint64_t stuck_transitions_ = 0;
@@ -136,7 +117,6 @@ class Injector {
   // increments piggyback on existing events so observation never changes
   // the schedule.
   metrics::Counter* m_crashes_ = nullptr;
-  metrics::Counter* m_transients_ = nullptr;
   metrics::Counter* m_rejections_ = nullptr;
   metrics::Counter* m_disk_transitions_ = nullptr;
 };

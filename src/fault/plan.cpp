@@ -6,25 +6,6 @@
 
 namespace fault {
 
-simkit::Time InjectionPlan::horizon() const noexcept {
-  simkit::Time h = 0.0;
-  for (const auto& e : disk_episodes) h = std::max(h, e.end);
-  for (const auto& c : crashes) h = std::max(h, c.reboot);
-  for (const auto& d : domain_outages) h = std::max(h, d.end);
-  if (disk_markov.enabled) h = std::max(h, disk_markov.horizon);
-  return h;
-}
-
-InjectionPlan& InjectionPlan::degrade_disk(std::size_t io_node,
-                                           std::uint32_t disk,
-                                           simkit::Time start,
-                                           simkit::Time end,
-                                           double latency_factor) {
-  disk_episodes.push_back(
-      DiskDegradeEpisode{io_node, disk, start, end, latency_factor});
-  return *this;
-}
-
 InjectionPlan& InjectionPlan::crash_node(std::size_t io_node,
                                          simkit::Time crash,
                                          simkit::Time reboot, bool scrub) {
@@ -42,13 +23,8 @@ InjectionPlan& InjectionPlan::outage_domain(
   return *this;
 }
 
-InjectionPlan& InjectionPlan::with_markov_disks(MarkovDiskParams p) {
-  disk_markov = p;
-  return *this;
-}
-
-InjectionPlan& InjectionPlan::with_transient_errors(double prob) {
-  transient_error_prob = prob;
+InjectionPlan& InjectionPlan::with_markov_disks(simkit::Time horizon) {
+  markov_horizon = horizon;
   return *this;
 }
 

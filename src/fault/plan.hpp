@@ -1,10 +1,11 @@
 // fault/plan.hpp — declarative fault schedules for the simulated machine.
 //
-// An InjectionPlan is pure data: a list of timed fault episodes plus a
-// transient-error probability, all in absolute simulated time.  The same
-// plan + the same seed replays bit-identically (the simulator's core
-// promise extends to faulty runs).  Plans are armed at runtime by
-// fault::Injector, whose clock flips state at the planned instants.
+// An InjectionPlan is pure data: I/O-node crash windows (independent or
+// rack-correlated) and the horizon of a Markov disk-arm walk, all in
+// absolute simulated time.  The same plan + the same seed replays
+// bit-identically (the simulator's core promise extends to faulty runs).
+// Plans are armed at runtime by fault::Injector, whose clock flips state
+// at the planned instants.
 #pragma once
 
 #include <cstdint>
@@ -14,21 +15,9 @@
 
 namespace fault {
 
-/// One episode of degraded service on a disk: every access served during
-/// [start, end) takes `latency_factor` times longer (arm friction, media
-/// retries, thermal recalibration).  A very large factor models a stuck
-/// arm: requests still complete, but the queue behind them collapses.
-struct DiskDegradeEpisode {
-  std::size_t io_node = 0;  // index into the machine's I/O partition
-  std::uint32_t disk = 0;   // disk within the node
-  simkit::Time start = 0.0;
-  simkit::Time end = 0.0;
-  double latency_factor = 1.0;
-};
-
 /// Fail-stop crash of a whole I/O node: every request arriving during
-/// [crash, reboot) is rejected with pfs::IoError (kNodeDown).  The node
-/// serves normally again from `reboot` on.
+/// [crash, reboot) is rejected with pfs::IoError.  The node serves
+/// normally again from `reboot` on.
 ///
 /// `scrub` distinguishes power-loss semantics from a clean reboot: a
 /// scrubbing crash (rack/switch power event) destroys data the node
@@ -55,57 +44,21 @@ struct DomainOutage {
   simkit::Time end = 0.0;
 };
 
-/// Continuous-time Markov model of disk-arm sticking, the stochastic
-/// replacement for hand-planned DiskDegradeEpisodes.  Each attached disk
-/// walks healthy -> sticky -> (stuck | healthy) -> ... independently on a
-/// stream split from the plan seed, so trajectories don't depend on
-/// attach order or on how many disks the machine has.  Dwell times are
-/// exponential; transitions stop at `horizon`, after which every disk
-/// heals permanently (the plan's horizon() covers this).
-struct MarkovDiskParams {
-  bool enabled = false;
-  simkit::Time horizon = 0.0;     // generate transitions in [0, horizon)
-  double mean_healthy_s = 600.0;  // dwell before the arm starts sticking
-  double mean_sticky_s = 20.0;    // dwell while sticking
-  double mean_stuck_s = 5.0;      // dwell while fully stuck
-  double p_stick = 0.25;          // sticky -> stuck (else heals)
-  double sticky_factor = 4.0;     // service-time stretch while sticky
-  double stuck_factor = 40.0;     // stretch while stuck
-};
-
 struct InjectionPlan {
-  std::vector<DiskDegradeEpisode> disk_episodes;
   std::vector<NodeCrashWindow> crashes;
   std::vector<DomainOutage> domain_outages;
-  MarkovDiskParams disk_markov;
-
-  /// Per-request probability of a transient failure (command timeout,
-  /// dropped server buffer).  Rolled on the injector's own RNG stream in
-  /// request-arrival order, so a given seed produces a fixed fault
-  /// pattern.  0 (the default) never touches the RNG.
-  double transient_error_prob = 0.0;
+  /// Continuous-time Markov model of disk-arm sticking: when positive,
+  /// each attached disk walks healthy -> sticky -> (stuck | healthy) ->
+  /// ... on a stream split from `seed`, with exponential dwells and
+  /// service-time stretches fixed in fault/injector.cpp.  Transitions
+  /// stop at this horizon, after which every disk heals permanently.
+  /// 0 (the default) leaves the disks alone.
+  simkit::Time markov_horizon = 0.0;
   std::uint64_t seed = 0x5EEDFA17u;
 
-  /// True only when arming the plan is a guaranteed no-op.  Stochastic
-  /// processes count as content: a Markov-disk plan with no planned
-  /// episodes still perturbs every disk it touches.
-  bool empty() const noexcept {
-    return disk_episodes.empty() && crashes.empty() &&
-           domain_outages.empty() && !disk_markov.enabled &&
-           transient_error_prob <= 0.0;
-  }
-
-  /// Latest fault edge in the plan; after this instant the machine is
-  /// permanently healthy.
-  simkit::Time horizon() const noexcept;
-
   // -- builder helpers ----------------------------------------------------
-  InjectionPlan& degrade_disk(std::size_t io_node, std::uint32_t disk,
-                              simkit::Time start, simkit::Time end,
-                              double latency_factor);
   InjectionPlan& crash_node(std::size_t io_node, simkit::Time crash,
                             simkit::Time reboot, bool scrub = false);
-  InjectionPlan& with_transient_errors(double prob);
 
   /// Take a whole failure domain down together: records a DomainOutage
   /// and materializes one scrubbing (by default) crash window per member
@@ -114,7 +67,8 @@ struct InjectionPlan {
                                const std::vector<std::uint32_t>& members,
                                simkit::Time start, simkit::Time end,
                                bool scrub = true);
-  InjectionPlan& with_markov_disks(MarkovDiskParams p);
+  /// Walk every attached disk's Markov chain over [0, horizon).
+  InjectionPlan& with_markov_disks(simkit::Time horizon);
 
   /// Deterministic random crash schedule: exponential inter-crash gaps
   /// with mean `mtbf` seconds over [0, horizon), each crash taking down a

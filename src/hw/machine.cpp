@@ -57,7 +57,6 @@ MachineConfig MachineConfig::paragon_small(std::size_t compute_nodes,
   // i860 XP: 75 MFLOPS peak; sustained application rates were ~1/3 of peak.
   m.cpu_mflops = 25.0;
   m.mem_copy_mb_per_s = 30.0;
-  m.mem_bytes_per_node = 32ULL << 20;
   m.topology = TopologyKind::kMesh2D;
   m.mesh_cols = 4;  // the paper's 14x4 mesh
   m.net.link_mb_per_s = 70.0;  // 175 MB/s raw links, ~70 effective under NX
@@ -91,7 +90,6 @@ MachineConfig MachineConfig::sp2(std::size_t compute_nodes) {
   // RS/6000 Model 390 (POWER2 66 MHz): strong FP, ~50 MFLOPS sustained.
   m.cpu_mflops = 50.0;
   m.mem_copy_mb_per_s = 80.0;
-  m.mem_bytes_per_node = 256ULL << 20;
   m.topology = TopologyKind::kMultistageSwitch;
   m.net.link_mb_per_s = 35.0;  // TB2 switch, ~35 MB/s effective under MPL
   m.net.per_hop_latency_us = 12.0;
@@ -127,7 +125,6 @@ MachineConfig MachineConfig::paragon_xl(std::size_t compute_nodes,
   // grows — which is exactly why flat O(P^2) exchanges stop scaling.
   m.cpu_mflops = 200.0;
   m.mem_copy_mb_per_s = 400.0;
-  m.mem_bytes_per_node = 256ULL << 20;
   m.topology = TopologyKind::kMultistageSwitch;
   m.net.link_mb_per_s = 300.0;
   m.net.per_hop_latency_us = 0.5;

@@ -62,7 +62,6 @@ struct MachineConfig {
   std::size_t io_nodes_per_switch = 0;
   double cpu_mflops = 25.0;            // effective, not peak
   double mem_copy_mb_per_s = 30.0;     // memcpy bandwidth (buffer copies)
-  std::uint64_t mem_bytes_per_node = 32ULL << 20;
   TopologyKind topology = TopologyKind::kMesh2D;
   std::uint32_t mesh_cols = 4;         // for kMesh2D
   NetParams net;

@@ -59,7 +59,6 @@ class FileView {
   FileView(std::uint64_t disp, DataType filetype)
       : disp_(disp), type_(std::move(filetype)) {}
 
-  std::uint64_t displacement() const noexcept { return disp_; }
   const DataType& filetype() const noexcept { return type_; }
 
   /// Physical extents backing logical [view_offset, view_offset+length),

@@ -39,7 +39,6 @@ class Prefetcher {
 
   bool done() const noexcept { return delivered_ == count_; }
   std::uint64_t chunks_delivered() const noexcept { return delivered_; }
-  std::uint64_t chunk_count() const noexcept { return count_; }
   /// Byte length of the most recently delivered chunk.
   std::uint64_t last_len() const noexcept { return last_len_; }
 

@@ -250,10 +250,9 @@ simkit::Task<void> resilient_op(pfs::OpKind kind, pfs::StripedFs& fs,
       if (!hedged && policy.health) {
         policy.health->note_error(e.io_node(), eng.now());
       }
-      // Node-down on the primary: switch to the replica stripe once (it
-      // lives on different servers, so it can survive the same crash).
-      if (e.kind() == pfs::IoErrorKind::kNodeDown &&
-          policy.replica != pfs::kInvalidFile && target == file) {
+      // A down node under the primary: switch to the replica stripe once
+      // (it lives on different servers, so it can survive the same crash).
+      if (policy.replica != pfs::kInvalidFile && target == file) {
         target = policy.replica;
         // A redirected write never reaches the primary: the pair is now
         // divergent (see RetryStats::diverged_writes); the tracker's

@@ -1,13 +1,14 @@
 // pario/resilient.hpp — retry/backoff recovery over the striped FS.
 //
-// The fault layer makes requests fail with a typed pfs::IoError; this is
-// the policy that decides recovery at the client:
-//   - transient errors are retried up to max_attempts with exponential
-//     backoff in *simulated* time (the classic congestion-polite ladder),
-//   - node-down errors fail over to a replica stripe when one is
-//     configured (a mirror file laid out on different servers), otherwise
-//     they ride the same retry ladder — a short outage is survivable, a
-//     long one exhausts the ladder and surfaces to the caller,
+// The fault layer rejects requests at a crashed I/O node with a typed
+// pfs::IoError; this is the policy that decides recovery at the client:
+//   - with a replica configured (a mirror file laid out on different
+//     servers), the first failure on the primary fails over to the
+//     replica stripe, free of backoff,
+//   - otherwise, and for any failure after that, the operation is
+//     retried up to max_attempts with exponential backoff in *simulated*
+//     time (the classic congestion-polite ladder): a short outage is
+//     survivable, a long one exhausts the ladder,
 //   - an operation that exhausts its attempts rethrows the last IoError,
 //     which is the checkpoint/restart layer's signal to roll back.
 //
@@ -32,7 +33,7 @@ struct RetryPolicy {
   int max_attempts = 4;            // total tries per operation (>= 1)
   double backoff_ms = 5.0;         // delay before the first retry
   double backoff_multiplier = 2.0; // exponential ladder
-  /// Mirror file to fail over to on a node-down error (same offsets).
+  /// Mirror file to fail over to on an IoError (same offsets).
   /// kInvalidFile (default) disables fail-over.
   pfs::FileId replica = pfs::kInvalidFile;
   /// Optional health feed: completions update the tracker's per-server
@@ -98,7 +99,7 @@ simkit::Task<void> resilient_pread(pfs::StripedFs& fs, hw::NodeId client,
                                    RetryPolicy policy,
                                    RetryStats* stats = nullptr);
 
-/// pwrite with retry/backoff/fail-over.  On a node-down error the write is
+/// pwrite with retry/backoff/fail-over.  On an IoError the write is
 /// redirected to the replica ONLY — the primary is left untouched and
 /// becomes stale once its node reboots (counted in
 /// RetryStats::diverged_writes).  Callers that later read the primary must
@@ -132,8 +133,8 @@ simkit::Task<void> resilient_pwritev(pfs::StripedFs& fs, hw::NodeId client,
 /// completes only when the drain reports clean.  This is the client-side
 /// entry point of the ordered_drain durability policy — the checkpoint
 /// engine calls it before declaring a commit durable.  A drain failure
-/// (node crash mid-drain, media error) is retried on the same file up to
-/// the policy's ladder; fsync never fails over to the replica, because a
+/// (a node crash mid-drain) is retried on the same file up to the
+/// policy's ladder; fsync never fails over to the replica, because a
 /// replica drain cannot make the *primary's* acked bytes durable.  Throws
 /// the last pfs::IoError once the ladder is exhausted.
 simkit::Task<void> resilient_fsync(pfs::StripedFs& fs, hw::NodeId client,

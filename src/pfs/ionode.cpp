@@ -44,8 +44,8 @@ IoNode::IoNode(simkit::Engine& eng, hw::NodeId self, std::size_t index,
     // shares an arm with data, so the append per ack stays a sequential
     // stream and journaled's extra disk traffic does not contend with
     // reads or background drains.  Not injector-attached: the log
-    // device dies with the node (scrub destroys it), not via the data
-    // disks' transient-fault episodes.
+    // device dies with the node (scrub destroys it) and takes no part in
+    // the data disks' Markov walk.
     log_disk_ = std::make_unique<DiskArm>(eng, disk, io_.scan_scheduling);
   }
   if (io_.server.writeback.mode == iosrv::WritebackMode::kPool) {
@@ -139,13 +139,9 @@ std::size_t IoNode::disk_queue_depth() const noexcept {
 }
 
 void IoNode::check_faults() {
-  if (!injector_) return;
-  if (injector_->node_down(index_)) {
+  if (injector_ && injector_->node_down(index_)) {
     injector_->count_rejection();
-    throw IoError(IoErrorKind::kNodeDown, index_);
-  }
-  if (injector_->roll_transient()) {
-    throw IoError(IoErrorKind::kTransient, index_);
+    throw IoError(index_);
   }
 }
 
@@ -169,10 +165,7 @@ simkit::Task<void> IoNode::process(hw::AccessKind kind, hw::NodeId client,
   // A crashed node rejects at arrival (the client's connection attempt
   // fails fast); a healthy arrival can still die below if the node
   // crashes while the request is queued for the daemon.
-  if (injector_ && injector_->node_down(index_)) {
-    injector_->count_rejection();
-    throw IoError(IoErrorKind::kNodeDown, index_);
-  }
+  check_faults();
   ++served_;
   if (m_requests_) {
     m_requests_->inc();

@@ -165,7 +165,8 @@ class IoNode {
 
   static constexpr std::uint64_t kSegmentBytes = 8ULL << 20;
 
-  /// Fail the request if the node is crashed or a transient error fires.
+  /// Reject the request with IoError if a crash window holds the node
+  /// down (counted as a rejection).
   void check_faults();
 
   // -- crash semantics (no-ops unless durability.crash_semantics) --------

@@ -13,32 +13,20 @@ namespace pfs {
 using FileId = std::uint32_t;
 inline constexpr FileId kInvalidFile = ~FileId{0};
 
-/// Why an I/O request failed (injected by fault::Injector).
-enum class IoErrorKind : std::uint8_t {
-  kTransient,  // dropped request; an immediate retry may succeed
-  kNodeDown,   // fail-stop crash; fails until the node reboots
-};
-
-constexpr std::string_view to_string(IoErrorKind k) {
-  return k == IoErrorKind::kTransient ? "transient" : "node-down";
-}
-
-/// Typed failure surfaced by the I/O stack when fault injection is armed.
-/// Propagates through the coroutine chain to whoever awaits the request;
-/// pario's retry/backoff policy decides recovery.
+/// Typed failure surfaced by the I/O stack when fault injection is armed:
+/// the request reached an I/O node that a fault::Injector crash window
+/// holds down.  Propagates through the coroutine chain to whoever awaits
+/// the request; pario's retry/backoff policy decides recovery.
 class IoError : public std::runtime_error {
  public:
-  IoError(IoErrorKind kind, std::size_t io_node_index)
-      : std::runtime_error("io error (" + std::string(to_string(kind)) +
-                           ") at io node " + std::to_string(io_node_index)),
-        kind_(kind),
+  explicit IoError(std::size_t io_node_index)
+      : std::runtime_error("io error (node-down) at io node " +
+                           std::to_string(io_node_index)),
         io_node_(io_node_index) {}
 
-  IoErrorKind kind() const noexcept { return kind_; }
   std::size_t io_node() const noexcept { return io_node_; }
 
  private:
-  IoErrorKind kind_;
   std::size_t io_node_;
 };
 

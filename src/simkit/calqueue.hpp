@@ -87,7 +87,6 @@ class CalendarQueue {
 
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
-  std::size_t bucket_count() const noexcept { return buckets_.size(); }
   double bucket_width() const noexcept { return width_; }
   std::size_t overflow_size() const noexcept { return overflow_.size(); }
   std::uint64_t resizes() const noexcept { return resizes_; }

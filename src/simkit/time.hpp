@@ -24,6 +24,5 @@ inline constexpr Time kTimeInfinity = std::numeric_limits<Time>::infinity();
 constexpr Duration seconds(double s) { return s; }
 constexpr Duration milliseconds(double ms) { return ms * 1e-3; }
 constexpr Duration microseconds(double us) { return us * 1e-6; }
-constexpr Duration nanoseconds(double ns) { return ns * 1e-9; }
 
 }  // namespace simkit

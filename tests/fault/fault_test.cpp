@@ -42,14 +42,6 @@ TEST(InjectionPlan, PoissonIsSeedDeterministic) {
   EXPECT_FALSE(same) << "different seeds must yield different plans";
 }
 
-TEST(InjectionPlan, HorizonCoversAllEdges) {
-  InjectionPlan p;
-  EXPECT_TRUE(p.empty());
-  p.crash_node(0, 10.0, 20.0).degrade_disk(1, 0, 5.0, 42.0, 3.0);
-  EXPECT_FALSE(p.empty());
-  EXPECT_DOUBLE_EQ(p.horizon(), 42.0);
-}
-
 TEST(Injector, ArmsAndClearsOnSchedule) {
   simkit::Engine eng;
   InjectionPlan plan;
@@ -86,33 +78,12 @@ TEST(Injector, NodeCrashSurfacesAsTypedIoError) {
       co_await r.fs.pwrite(r.machine.compute_node(0), f, 0, 4096);
     } catch (const pfs::IoError& e) {
       threw = true;
-      EXPECT_EQ(e.kind(), pfs::IoErrorKind::kNodeDown);
       EXPECT_EQ(e.io_node(), 0u);
     }
   }(rig, f, threw));
   rig.eng.run();
   EXPECT_TRUE(threw);
   EXPECT_GE(inj.rejected_requests(), 1u);
-}
-
-TEST(Injector, CertainTransientErrorAlwaysFails) {
-  InjectionPlan plan;
-  plan.with_transient_errors(1.0);
-  Injector inj(plan);
-  Rig rig(&inj);
-  const pfs::FileId f = rig.fs.create("flaky");
-  bool threw = false;
-  rig.eng.spawn([](Rig& r, pfs::FileId f, bool& threw) -> simkit::Task<void> {
-    try {
-      co_await r.fs.pwrite(r.machine.compute_node(0), f, 0, 4096);
-    } catch (const pfs::IoError& e) {
-      threw = true;
-      EXPECT_EQ(e.kind(), pfs::IoErrorKind::kTransient);
-    }
-  }(rig, f, threw));
-  rig.eng.run();
-  EXPECT_TRUE(threw);
-  EXPECT_GE(inj.transient_errors(), 1u);
 }
 
 // The pay-for-what-you-use contract: an injector with an EMPTY plan is
@@ -246,63 +217,62 @@ TEST(InjectionPlan, CorrelatedEventClockInvariantUnderFractionSweep) {
   EXPECT_TRUE(indep.domain_outages.empty());
 }
 
-TEST(InjectionPlan, MarkovPlanIsNotEmptyAndExtendsHorizon) {
-  // Regression: a stochastic-only plan must count as content — empty()
-  // once looked only at planned episodes, so arming a Markov plan was
-  // skipped by callers that early-out on empty().
-  InjectionPlan p;
-  MarkovDiskParams mp;
-  mp.enabled = true;
-  mp.horizon = 321.0;
-  p.with_markov_disks(mp);
-  EXPECT_FALSE(p.empty());
-  EXPECT_DOUBLE_EQ(p.horizon(), 321.0);
-  p.crash_node(0, 10.0, 400.0);
-  EXPECT_DOUBLE_EQ(p.horizon(), 400.0);
-
+TEST(InjectionPlan, DomainOutageBuildsScrubbingMemberWindows) {
   InjectionPlan q;
   q.outage_domain(1, {2, 3}, 5.0, 50.0);
-  EXPECT_FALSE(q.empty());
-  EXPECT_DOUBLE_EQ(q.horizon(), 50.0);
-  EXPECT_EQ(q.crashes.size(), 2u);
+  ASSERT_EQ(q.crashes.size(), 2u);
   EXPECT_TRUE(q.crashes[0].scrub);
+  EXPECT_TRUE(q.crashes[1].scrub);
+}
+
+// One 128 KB read (a stripe unit on each of the rig's two disks) every
+// 0.5 s for an hour of simulated time, six mean healthy dwells of the
+// Markov walk.  The reads cycle through 8 MB, so they miss the 2 MB
+// server caches and reach the disks.  Returns the workload's completion
+// time, not the fault-edge drain.
+double paced_reads(Injector* inj) {
+  Rig rig(inj);
+  const pfs::FileId f = rig.fs.create("arms");
+  double done = -1.0;
+  rig.eng.spawn([](Rig& r, pfs::FileId f, double& out) -> simkit::Task<void> {
+    for (int k = 0; k < 7200; ++k) {
+      co_await r.fs.pread(r.machine.compute_node(0), f,
+                          static_cast<std::uint64_t>(k % 64) * 128 * 1024,
+                          128 * 1024);
+      co_await r.eng.delay(0.5);
+    }
+    out = r.eng.now();
+  }(rig, f, done));
+  rig.eng.run();
+  return done;
 }
 
 TEST(Injector, MarkovDisksStretchServiceAndReplayExactly) {
-  auto timed_read = [](Injector* inj) {
-    Rig rig(inj);
-    const pfs::FileId f = rig.fs.create("markov");
-    double done = -1.0;
-    rig.eng.spawn([](Rig& r, pfs::FileId f, double& out) -> simkit::Task<void> {
-      for (int rep = 0; rep < 12; ++rep) {
-        co_await r.fs.pwrite(r.machine.compute_node(0), f, 0, 256 * 1024);
-        co_await r.fs.fsync(r.machine.compute_node(0), f);
-        co_await r.fs.pread(r.machine.compute_node(0), f, 0, 256 * 1024);
-      }
-      out = r.eng.now();
-    }(rig, f, done));
-    rig.eng.run();
-    return done;  // workload completion, not the fault-edge drain
-  };
-  MarkovDiskParams mp;
-  mp.enabled = true;
-  mp.horizon = 400.0;
-  mp.mean_healthy_s = 0.05;  // sticks almost immediately and often
-  mp.mean_sticky_s = 5.0;
-  mp.mean_stuck_s = 5.0;
-  mp.p_stick = 0.5;
-  mp.sticky_factor = 6.0;
-  mp.stuck_factor = 60.0;
   InjectionPlan plan;
-  plan.with_markov_disks(mp);
-  const double healthy = timed_read(nullptr);
+  plan.with_markov_disks(3600.0);
+  const double healthy = paced_reads(nullptr);
   Injector a{plan};
-  const double run1 = timed_read(&a);
+  const double run1 = paced_reads(&a);
   Injector b{plan};
-  const double run2 = timed_read(&b);
+  const double run2 = paced_reads(&b);
   EXPECT_GT(run1, healthy);
   EXPECT_EQ(run1, run2);  // bit-identical replay of the stochastic walk
   EXPECT_GT(a.sticky_transitions(), 0u);
+}
+
+// The walk's rates and stretches are constants: these literals were taken
+// with 600/20/5 s mean dwells, p_stick 0.25 and 4x/40x stretches.  Seed 1
+// draws a sticky exit at 0.24997 and one at 0.25124, so moving p_stick
+// out of that gap moves the stuck count; a 1% change to any other
+// constant moves the completion time.
+TEST(Injector, MarkovWalkIsPinned) {
+  InjectionPlan plan;
+  plan.seed = 1;
+  plan.with_markov_disks(3600.0);
+  Injector inj{plan};
+  EXPECT_DOUBLE_EQ(paced_reads(&inj), 3726.8504756243774);
+  EXPECT_EQ(inj.sticky_transitions(), 20u);
+  EXPECT_EQ(inj.stuck_transitions(), 6u);
 }
 
 TEST(Injector, ScrubQueryAndScopedRecoveryWait) {
@@ -322,25 +292,6 @@ TEST(Injector, ScrubQueryAndScopedRecoveryWait) {
   // node 2's.
   EXPECT_DOUBLE_EQ(inj.all_up_by(12.0), 50.0);
   EXPECT_DOUBLE_EQ(inj.all_up_by(60.0), 60.0);
-}
-
-TEST(Injector, DiskDegradeEpisodeStretchesServiceTime) {
-  auto timed_read = [](Injector* inj) {
-    Rig rig(inj);
-    const pfs::FileId f = rig.fs.create("slow");
-    rig.eng.spawn([](Rig& r, pfs::FileId f) -> simkit::Task<void> {
-      co_await r.fs.pwrite(r.machine.compute_node(0), f, 0, 256 * 1024);
-      co_await r.fs.fsync(r.machine.compute_node(0), f);
-      // Large enough to defeat the I/O-node cache: the read must hit disk.
-      co_await r.fs.pread(r.machine.compute_node(0), f, 0, 256 * 1024);
-    }(rig, f));
-    rig.eng.run();
-    return rig.eng.now();
-  };
-  InjectionPlan plan;
-  for (std::size_t n = 0; n < 2; ++n) plan.degrade_disk(n, 0, 0.0, 1e6, 8.0);
-  Injector slow(plan);
-  EXPECT_GT(timed_read(&slow), timed_read(nullptr));
 }
 
 }  // namespace

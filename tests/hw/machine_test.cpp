@@ -60,7 +60,6 @@ TEST(Machine, MemCopyTimeMatchesRate) {
 TEST(MachineConfig, PresetsMatchPaperPlatforms) {
   const auto ps = MachineConfig::paragon_small(56, 4);
   EXPECT_EQ(ps.io.stripe_unit_bytes, 64u * 1024u);
-  EXPECT_EQ(ps.mem_bytes_per_node, 32ULL << 20);
   EXPECT_EQ(ps.topology, TopologyKind::kMesh2D);
 
   const auto sp = MachineConfig::sp2(64);
@@ -68,7 +67,6 @@ TEST(MachineConfig, PresetsMatchPaperPlatforms) {
   EXPECT_EQ(sp.io.stripe_unit_bytes, 32u * 1024u);
   EXPECT_EQ(sp.io.disks_per_io_node, 4u);
   EXPECT_EQ(sp.topology, TopologyKind::kMultistageSwitch);
-  EXPECT_EQ(sp.mem_bytes_per_node, 256ULL << 20);
 }
 
 TEST(MachineConfig, ParagonWriteBehindSp2Not) {
